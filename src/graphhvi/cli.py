@@ -46,7 +46,8 @@ def _load_superpotential(doc, base_dir: str):
 
 _PROBLEM_KEYS = {"graph", "superpotential", "f", "parabolic", "solver"}
 _PARABOLIC_KEYS = {"T", "steps", "phi0", "f_table", "sp_schedule"}
-_SOLVER_KEYS = {"tol", "h_schedule", "strategy", "max_inner"}
+_SOLVER_KEYS = {"tol": float, "strategy": str, "max_inner": int,
+                "h_schedule": lambda hs: tuple(float(h) for h in hs)}
 
 
 def load_problem(path: str):
@@ -72,21 +73,12 @@ def load_problem(path: str):
     except GraphFormatError as exc:
         raise InputError(f"{path}: load f: {exc}") from exc
 
-    opts_kwargs = {}
     solver = doc.get("solver", {})
-    if not isinstance(solver, dict) or set(solver) - _SOLVER_KEYS:
+    if not isinstance(solver, dict) or set(solver) - set(_SOLVER_KEYS):
         raise InputError(f"{path}: malformed 'solver' section")
-    if "tol" in solver:
-        opts_kwargs["tol"] = float(solver["tol"])
-    if "h_schedule" in solver:
-        opts_kwargs["h_schedule"] = tuple(float(h)
-                                          for h in solver["h_schedule"])
-    if "strategy" in solver:
-        opts_kwargs["strategy"] = str(solver["strategy"])
-    if "max_inner" in solver:
-        opts_kwargs["max_inner"] = int(solver["max_inner"])
     try:
-        opts = solvers.SolverOptions(**opts_kwargs)
+        opts = solvers.SolverOptions(**{k: _SOLVER_KEYS[k](v)
+                                        for k, v in solver.items()})
     except ValueError as exc:
         raise InputError(f"{path}: solver options: {exc}") from exc
 

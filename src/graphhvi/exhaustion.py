@@ -182,13 +182,7 @@ def truncate(gen: GraphGenerator, r: float,
 def load_vector(gen: GraphGenerator, g: WeightedGraph,
                 f_law: WeightLaw) -> np.ndarray:
     """Evaluate a load law on a truncation, by node depth."""
-    return np.array([_f_value(f_law, gen.depth(_parse_id(gen, v)))
-                     for v in g.nodes])
-
-
-def _f_value(law: WeightLaw, depth: int) -> float:
-    fn = FORMULAS[law.formula]
-    return fn(law.params, depth)
+    return np.array([f_law(gen.depth(_parse_id(gen, v))) for v in g.nodes])
 
 
 def _parse_id(gen: GraphGenerator, vid: str) -> tuple:
@@ -237,22 +231,18 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     prev_phi: np.ndarray | None = None
     for i, r in enumerate(radii):
         g = truncate(gen, r, max_nodes=max_nodes)
-        f = np.array([_f_value(f_law, gen.depth(_parse_id(gen, v)))
-                      for v in g.nodes])
+        f = load_vector(gen, g, f_law)
         warm = np.zeros(g.num_nodes)
-        if prev_phi is not None:
-            idx = {v: k for k, v in enumerate(g.nodes)}
-            for k, v in enumerate(prev_g.nodes):
-                warm[idx[v]] = prev_phi[k]
+        if prev_g is not None:  # positions of the previous level's nodes
+            prev_at = [g.node_index(v) for v in prev_g.nodes]
+            warm[prev_at] = prev_phi
         level_opts = dataclasses.replace(opts, initial=warm,
                                          with_certificates=False)
         rep = solve_elliptic(EllipticProblem(g, sp, f), level_opts)
         graphs.append(g)
         reports.append(rep)
         if prev_g is not None:
-            idx = {v: k for k, v in enumerate(g.nodes)}
-            restricted = np.array([rep.phi[idx[v]] for v in prev_g.nodes])
-            diff = restricted - prev_phi
+            diff = rep.phi[prev_at] - prev_phi
             increments.append(sobolev_norms(prev_g, diff).w_hilbert)
         tail_r = radii[i - 1] if i > 0 else r / 2.0
         tails.append(embedding_diagnostics(g, root_id, tail_r,

@@ -10,7 +10,7 @@ built on the graph.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +78,21 @@ class WeightedGraph:
         return float(self.mu.sum())
 
 
+def _weight(x, name: str, rec) -> float:
+    """A weight as a float, if it is a finite positive number (not a bool)."""
+    if (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and 0 < x <= sys.float_info.max):
+        return float(x)
+    raise GraphFormatError(f"non-positive or non-finite {name} in record "
+                           f"{rec!r}")
+
+
 def from_data(nodes, adjacencies) -> WeightedGraph:
     """Build a graph from ``(id, mu, kappa)`` and ``(a, b, rho, gamma)`` records.
 
     Each undirected adjacency must appear exactly once; both orientations
     are materialized.  Raises :class:`GraphFormatError` on duplicate ids,
-    self-loops, non-positive weights or unknown node references.
+    self-loops, non-positive or non-finite weights or unknown node references.
     """
     ids, mu, kappa = [], [], []
     seen = set()
@@ -92,13 +101,9 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
         if vid in seen:
             raise GraphFormatError(f"duplicate node id in record {rec!r}")
         seen.add(vid)
-        if not (isinstance(m, (int, float)) and m > 0):
-            raise GraphFormatError(f"non-positive measure in record {rec!r}")
-        if not (isinstance(k, (int, float)) and k > 0):
-            raise GraphFormatError(f"non-positive kappa in record {rec!r}")
         ids.append(str(vid))
-        mu.append(float(m))
-        kappa.append(float(k))
+        mu.append(_weight(m, "measure", rec))
+        kappa.append(_weight(k, "kappa", rec))
     index = {v: i for i, v in enumerate(ids)}
 
     src, dst, rho, gamma = [], [], [], []
@@ -113,15 +118,12 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
         if key in seen_adj:
             raise GraphFormatError(f"duplicate adjacency in record {rec!r}")
         seen_adj.add(key)
-        if not (isinstance(r, (int, float)) and r > 0):
-            raise GraphFormatError(f"non-positive rho in record {rec!r}")
-        if not (isinstance(g, (int, float)) and g > 0):
-            raise GraphFormatError(f"non-positive gamma in record {rec!r}")
+        r, g = _weight(r, "rho", rec), _weight(g, "gamma", rec)
         ia, ib = index[a], index[b]
         src += [ia, ib]
         dst += [ib, ia]
-        rho += [float(r), float(r)]
-        gamma += [float(g), float(g)]
+        rho += [r, r]
+        gamma += [g, g]
 
     return WeightedGraph(
         nodes=tuple(ids),
@@ -167,7 +169,8 @@ def load_graph(document) -> WeightedGraph:
 def node_function(g: WeightedGraph, values) -> np.ndarray:
     """Coerce ``values`` (mapping or array) to a vector in canonical node order.
 
-    A mapping must assign a value to every node and nothing else.
+    A mapping must assign a value to every node and nothing else; every
+    value must be finite.
     """
     if isinstance(values, dict):
         missing = set(g.nodes) - set(values)
@@ -176,11 +179,13 @@ def node_function(g: WeightedGraph, values) -> np.ndarray:
             raise GraphFormatError(
                 f"node function support mismatch: missing={sorted(missing)}, "
                 f"extra={sorted(extra)}")
-        return np.array([float(values[v]) for v in g.nodes])
+        values = [values[v] for v in g.nodes]
     arr = np.asarray(values, dtype=float)
     if arr.shape != (g.num_nodes,):
         raise GraphFormatError(
             f"node function has shape {arr.shape}, expected ({g.num_nodes},)")
+    if not np.all(np.isfinite(arr)):
+        raise GraphFormatError("node function values must be finite")
     return arr
 
 

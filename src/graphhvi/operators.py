@@ -100,7 +100,7 @@ def _pcg(matvec, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray | None,
     Stops when the unpreconditioned residual satisfies
     ``||A x - rhs|| <= tol * ||rhs||``.  Deterministic for fixed inputs.
     """
-    nb = float(np.linalg.norm(rhs))
+    nb = math.sqrt(rhs @ rhs)  # what np.linalg.norm computes for 1-d input
     if nb == 0.0:
         return np.zeros_like(rhs), 0.0, 0
     x = np.zeros_like(rhs) if x0 is None else x0.astype(float, copy=True)
@@ -109,22 +109,21 @@ def _pcg(matvec, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray | None,
     z = inv_d * r
     p = z.copy()
     rz = float(r @ z)
-    nr = float(np.linalg.norm(r))
+    nr = math.sqrt(r @ r)
+    stop = tol * nb
     it = 0
-    while nr > tol * nb and it < max_iter:
+    while nr > stop and it < max_iter:
         Ap = matvec(p)
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        nr = float(np.linalg.norm(r))
-        if nr <= tol * nb:
-            it += 1
-            break
-        z = inv_d * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        nr = math.sqrt(r @ r)
         it += 1
+        if nr > stop:
+            z = inv_d * r
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
     return x, nr / nb, it
 
 

@@ -55,8 +55,8 @@ class ParabolicProblem:
     steps: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.steps <= 0:
-            raise ValueError("need T > 0 and steps > 0")
+        if not (0 < self.T < math.inf and self.steps > 0):
+            raise ValueError("need finite T > 0 and steps > 0")
         object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))
         f = np.asarray(self.f, dtype=float)
         n = self.graph.num_nodes
@@ -114,7 +114,7 @@ class SolverOptions:
     certificate_range: float | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise ValueError("tol must be positive")
         hs = tuple(float(h) for h in self.h_schedule)
         if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -154,17 +154,20 @@ def hvi_residual(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
                  f: np.ndarray, test_set) -> list[float]:
     """For each test psi: ``<L phi - f, psi - phi>_mu + sum mu j°(phi; psi - phi)``.
 
-    A weak solution makes every value nonnegative (up to tolerance).
+    ``test_set`` is an ``(m, n)`` array or an iterable of node vectors.  A
+    weak solution makes every value nonnegative (up to tolerance).
     """
-    opr = assemble(g)
     phi = _check_nodes(g, phi)
-    defect = apply(opr, phi) - _check_nodes(g, f)
-    out = []
-    for psi in test_set:
-        d = _check_nodes(g, psi) - phi
-        out.append(float(inner_product_nodes(g, defect, d)
-                         + sum_directional_bound(g, sp, phi, d)))
-    return out
+    defect = apply(assemble(g), phi) - _check_nodes(g, f)
+    if not isinstance(test_set, np.ndarray):
+        test_set = list(test_set) or np.empty((0, g.num_nodes))
+    psi = np.asarray(test_set, dtype=float)
+    if psi.ndim != 2 or psi.shape[1] != g.num_nodes:
+        raise ValueError(f"test set shape {psi.shape} does not match graph "
+                         f"with {g.num_nodes} nodes")
+    d = psi - phi
+    lo, hi = sp.interval(phi)
+    return (d @ (g.mu * defect) + np.maximum(lo * d, hi * d) @ g.mu).tolist()
 
 
 def energy(g: WeightedGraph, sp: Superpotential, f: np.ndarray,
@@ -226,16 +229,16 @@ def _smooth_solve(K, kappa, mu, sp, f, phi0, max_inner, strategy="newton",
     beta = sp.density.value
     beta_prime = sp.density.derivative
     mf = mu * f
-    target = rtol * (1.0 + float(np.linalg.norm(mf)))
+    target = rtol * (1.0 + math.sqrt(mf @ mf))
 
     def res(p):
         return K @ p + kappa * p + mu * beta(p) - mf
 
     phi = phi0.astype(float, copy=True)
     r = res(phi)
-    rn = float(np.linalg.norm(r))
-    n = len(phi)
-    pcg_iters = 4 * n + 200
+    rn = math.sqrt(r @ r)
+    pcg_iters = 4 * len(phi) + 200
+    kdiag = K.diagonal()
     floor = 1e-12 * max(float(kappa.max()), 1.0)
     it = 0
     while rn > target and it < max_inner:
@@ -246,13 +249,13 @@ def _smooth_solve(K, kappa, mu, sp, f, phi0, max_inner, strategy="newton",
             sigma = max(0.0, float(np.max((floor - kappa - dshift) / mu))) \
                 if dmin < floor else 0.0
             diag = kappa + dshift + sigma * mu
-            d, _, _ = _pcg(lambda v: K @ v + diag * v, K.diagonal() + diag,
+            d, _, _ = _pcg(lambda v: K @ v + diag * v, kdiag + diag,
                            -r, None, 1e-13, pcg_iters)
             alpha, accepted = 1.0, False
             while alpha > 2.0 ** -30:
                 trial = phi + alpha * d
                 rt = res(trial)
-                rtn = float(np.linalg.norm(rt))
+                rtn = math.sqrt(rt @ rt)
                 if rtn <= (1.0 - 1e-4 * alpha) * rn:
                     phi, r, rn = trial, rt, rtn
                     accepted = True
@@ -269,14 +272,13 @@ def _smooth_solve(K, kappa, mu, sp, f, phi0, max_inner, strategy="newton",
             diag = kappa + sig * mu
             for _ in range(10):
                 rhs = mu * (f - beta(phi) + sig * phi)
-                phi, _, _ = _pcg(lambda v: K @ v + diag * v,
-                                 K.diagonal() + diag, rhs, phi, 1e-13,
-                                 pcg_iters)
+                phi, _, _ = _pcg(lambda v: K @ v + diag * v, kdiag + diag,
+                                 rhs, phi, 1e-13, pcg_iters)
                 it += 1
                 if it >= max_inner:
                     break
             r = res(phi)
-            rn = float(np.linalg.norm(r))
+            rn = math.sqrt(r @ r)
     return phi, it, rn <= target
 
 
@@ -285,10 +287,6 @@ def _clip_ramp(h: float, sp: Superpotential) -> float:
     if math.isinf(gap):
         return h
     return min(h, 0.49 * gap)
-
-
-def _residual_norm(g: WeightedGraph, resid: np.ndarray) -> float:
-    return lp_norm_nodes(g, resid, 2.0)
 
 
 def _polish(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
@@ -302,15 +300,13 @@ def _polish(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     if not jumps:
         return phi
     K, kappa, mu = opr.stiffness, opr.kappa, opr.mu
-    jump_b = np.array([b for b, _, _ in jumps])
-    jleft = np.array([l for _, l, _ in jumps])
-    jright = np.array([r for _, _, r in jumps])
+    jump_b, jleft, jright = np.array(jumps).T
     h_floor = _clip_ramp(opts.h_schedule[-1], sp)
     sp_floor = mollify(sp, h_floor)  # equals sp outside the tiny ramps
     snap = max(4.0 * h_floor, 1e-6)
 
     best_phi = phi.copy()
-    best_rn = _residual_norm(g, inclusion_residual(opr, sp, phi, f))
+    best_rn = lp_norm_nodes(g, inclusion_residual(opr, sp, phi, f))
     for _ in range(opts.max_polish):
         gaps = np.abs(phi[:, None] - jump_b[None, :])
         nearest = np.argmin(gaps, axis=1)
@@ -324,15 +320,16 @@ def _polish(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         free = ~active
         inner = 0
         if free.any():
-            Ksub = K[free][:, free]
-            coupling = (K[free][:, active] @ phi_new[active]) / mu[free]
+            Kfree = K[free]
+            Ksub = Kfree[:, free]
+            coupling = (Kfree[:, active] @ phi_new[active]) / mu[free]
             sub, inner, _ = _smooth_solve(Ksub, kappa[free], mu[free],
                                           sp_floor, f[free] - coupling,
                                           phi[free], opts.max_inner,
                                           opts.strategy)
             phi_new[free] = sub
         resid_new = inclusion_residual(opr, sp, phi_new, f)
-        rn = _residual_norm(g, resid_new)
+        rn = lp_norm_nodes(g, resid_new)
         trace.append({"stage": "polish", "h": h_floor, "inner_steps": inner,
                       "residual_norm": rn, "active": int(active.sum())})
         if rn < best_rn:
@@ -372,7 +369,7 @@ def solve_elliptic(problem: EllipticProblem,
     if not jumps:
         phi, inner, _ = _smooth_solve(opr.stiffness, opr.kappa, opr.mu, sp,
                                       f, phi, opts.max_inner, opts.strategy)
-        rn = _residual_norm(g, inclusion_residual(opr, sp, phi, f))
+        rn = lp_norm_nodes(g, inclusion_residual(opr, sp, phi, f))
         trace.append({"stage": "smooth", "h": 0.0, "inner_steps": inner,
                       "residual_norm": rn})
     else:
@@ -387,17 +384,16 @@ def solve_elliptic(problem: EllipticProblem,
             phi, inner, _ = _smooth_solve(opr.stiffness, opr.kappa, opr.mu,
                                           sph, f, phi, opts.max_inner,
                                           opts.strategy)
-            rn = _residual_norm(g, inclusion_residual(opr, sp, phi, f))
+            rn = lp_norm_nodes(g, inclusion_residual(opr, sp, phi, f))
             trace.append({"stage": "continuation", "h": hh,
                           "inner_steps": inner, "residual_norm": rn})
             if rn <= opts.tol:
                 break
         if rn > opts.tol:
             phi = _polish(opr, sp, f, phi, opts, trace)
-            rn = _residual_norm(g, inclusion_residual(opr, sp, phi, f))
 
     resid = inclusion_residual(opr, sp, phi, f)
-    rn = _residual_norm(g, resid)
+    rn = lp_norm_nodes(g, resid)
     target = f - apply(opr, phi)
     lo, hi = sp.interval(phi)
     xi = np.clip(target, lo, hi)

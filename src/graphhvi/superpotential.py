@@ -11,9 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+
+
+def _table(polys) -> np.ndarray:
+    """Coefficient k of polynomial i at ``[k, i]``, zero-padded."""
+    return np.array(list(zip_longest(*polys, fillvalue=0.0)))
+
+
+def _horner(table: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomial ``idx`` of ``table`` at ``x``, bit-identical to ``P.polyval``
+    on its unpadded coefficients: the same ``c[-1] + x*0``, then
+    ``c[k] + acc*x``, and over padding the accumulator stays +0 (or NaN)."""
+    acc = table[-1][idx] + x * 0
+    for k in range(len(table) - 2, -1, -1):
+        acc = table[k][idx] + acc * x
+    return np.asarray(acc)
 
 
 @dataclass(frozen=True)
@@ -40,46 +57,48 @@ class PiecewiseDensity:
             raise ValueError("empty coefficient list")
         if len(pieces) != len(bp) + 1:
             raise ValueError("need len(breakpoints) + 1 pieces")
+        if not np.all(np.isfinite(np.concatenate((bp, *pieces)))):
+            raise ValueError("breakpoints and coefficients must be finite")
         object.__setattr__(self, "pieces", pieces)
         bp.setflags(write=False)
 
-    def _eval(self, x, idx, order: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i, c in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                cc = P.polyder(c, order) if order else c
-                out[mask] = P.polyval(x[mask], cc)
-        return out
+    @cached_property
+    def _beta(self) -> np.ndarray:
+        return _table(self.pieces)
+
+    @cached_property
+    def _beta_prime(self) -> np.ndarray:
+        return _table([P.polyder(c) for c in self.pieces])
+
+    def _limits(self, x: np.ndarray) -> np.ndarray:
+        """Left and right limits stacked as a ``(2, *x.shape)`` array."""
+        bp = self.breakpoints
+        idx = np.stack((np.searchsorted(bp, x, side="left"),
+                        np.searchsorted(bp, x, side="right")))
+        return _horner(self._beta, idx, x)
 
     def value(self, x) -> np.ndarray:
         """Right-continuous evaluation (breakpoints take the right piece)."""
         x = np.asarray(x, dtype=float)
-        return self._eval(x, np.searchsorted(self.breakpoints, x, side="right"))
+        return _horner(self._beta,
+                       np.searchsorted(self.breakpoints, x, side="right"), x)
 
     def derivative(self, x) -> np.ndarray:
         """Right-continuous derivative of the density."""
         x = np.asarray(x, dtype=float)
-        return self._eval(x, np.searchsorted(self.breakpoints, x, side="right"),
-                          order=1)
+        return _horner(self._beta_prime,
+                       np.searchsorted(self.breakpoints, x, side="right"), x)
 
     def one_sided(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Left and right limits at each point (equal off breakpoints)."""
-        x = np.asarray(x, dtype=float)
-        left = self._eval(x, np.searchsorted(self.breakpoints, x, side="left"))
-        right = self._eval(x, np.searchsorted(self.breakpoints, x, side="right"))
-        return left, right
+        lim = self._limits(np.asarray(x, dtype=float))
+        return lim[0, ...], lim[1, ...]  # "..." keeps 0-d results arrays
 
     def jumps(self) -> list[tuple[float, float, float]]:
         """Breakpoints where the one-sided limits differ, with their limits."""
-        out = []
-        for i, b in enumerate(self.breakpoints):
-            left = float(P.polyval(b, self.pieces[i]))
-            right = float(P.polyval(b, self.pieces[i + 1]))
-            if left != right:
-                out.append((float(b), left, right))
-        return out
+        left, right = self._limits(self.breakpoints).tolist()
+        return [(b, lo, hi) for b, lo, hi
+                in zip(self.breakpoints.tolist(), left, right) if lo != hi]
 
     def min_breakpoint_gap(self) -> float:
         if len(self.breakpoints) < 2:
@@ -114,16 +133,15 @@ class Superpotential:
     density: PiecewiseDensity
     antiderivative: tuple[np.ndarray, ...]
 
+    @cached_property
+    def _j(self) -> np.ndarray:
+        return _table(self.antiderivative)
+
     def value(self, x) -> np.ndarray:
         """j(x); continuous with j(0) = 0."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.density.breakpoints, x, side="right")
-        out = np.empty(x.shape)
-        for i, c in enumerate(self.antiderivative):
-            mask = idx == i
-            if mask.any():
-                out[mask] = P.polyval(x[mask], c)
-        return out
+        return _horner(self._j, np.searchsorted(self.density.breakpoints, x,
+                                                side="right"), x)
 
     def interval(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Filled-in subdifferential as (lo, hi) arrays."""
@@ -296,20 +314,20 @@ def mollify(sp: Superpotential, h: float) -> Superpotential:
     gap = density.min_breakpoint_gap()
     if 2.0 * h >= gap:
         raise ValueError(f"ramp width {h} too large for breakpoint gap {gap}")
-    if not density.jumps():
+    bp = density.breakpoints
+    lefts, rights = density._limits(bp).tolist()
+    if lefts == rights:  # no jumps
         return sp
     new_bp: list[float] = []
     new_pieces: list[np.ndarray] = [density.pieces[0]]
-    for i, b in enumerate(density.breakpoints):
-        left = float(P.polyval(b, density.pieces[i]))
-        right = float(P.polyval(b, density.pieces[i + 1]))
+    for i, (b, left, right) in enumerate(zip(bp.tolist(), lefts, rights)):
         if left == right:
-            new_bp.append(float(b))
+            new_bp.append(b)
         else:
             slope = (right - left) / (2.0 * h)
             mid = 0.5 * (left + right)
             ramp = np.array([mid - slope * b, slope])
-            new_bp.extend([float(b) - h, float(b) + h])
+            new_bp.extend([b - h, b + h])
             new_pieces.append(ramp)
         new_pieces.append(density.pieces[i + 1])
     return build(PiecewiseDensity(np.asarray(new_bp), tuple(new_pieces)))

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (exit codes, report content, determinism)."""
 
 import json
+import math
 
 import pytest
 
@@ -129,6 +130,22 @@ class TestSolveElliptic:
         code, _, err = run(["solve-elliptic", "--problem", path], capsys)
         assert code == 2
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("mu, load", [(math.inf, 2.0), (True, 2.0),
+                                          (1.0, math.nan)],
+                             ids=["mu-infinity", "mu-bool", "nan-load"])
+    def test_non_finite_or_bool_input(self, tmp_path, capsys, mu, load):
+        write(tmp_path / "graph.json",
+              {"nodes": [{"id": "v", "mu": mu, "kappa": 1.0}],
+               "adjacencies": []})
+        path = write(tmp_path / "problem.json", {
+            "graph": "graph.json",
+            "superpotential": ABS_SP,
+            "f": {"v": load},
+        })
+        code, _, err = run(["solve-elliptic", "--problem", path], capsys)
+        assert code == 2
+        assert "error:" in err
 
     def test_tol_override(self, workspace, capsys):
         code, out, _ = run(["solve-elliptic", "--problem",

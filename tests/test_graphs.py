@@ -1,6 +1,7 @@
 """Graph construction, validation, and metric structure."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ class TestFromData:
         with pytest.raises(GraphFormatError, match="self-loop"):
             gh.from_data([("a", 1, 1)], [("a", "a", 1, 1)])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True,
+                                     10 ** 400])
     def test_nonpositive_weights_rejected(self, bad):
         with pytest.raises(GraphFormatError, match="non-positive"):
             gh.from_data([("a", bad, 1)], [])
@@ -129,6 +131,14 @@ class TestNodeFunctions:
         g = triangle()
         with pytest.raises(GraphFormatError, match="shape"):
             gh.node_function(g, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, None])
+    def test_non_finite_values(self, bad):
+        g = triangle()
+        with pytest.raises(GraphFormatError):
+            gh.node_function(g, {"a": 1, "b": bad, "c": 3})
+        with pytest.raises(GraphFormatError):
+            gh.node_function(g, [1.0, bad, 3.0])
 
     def test_node_table_roundtrip(self):
         g = triangle()

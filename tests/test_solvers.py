@@ -1,5 +1,7 @@
 """Elliptic and parabolic inclusion solvers against closed-form oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -213,9 +215,10 @@ class TestParabolic:
 
     def test_validation(self):
         g = single_node()
-        with pytest.raises(ValueError, match="T > 0"):
-            ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
-                             phi0=np.zeros(1), T=0.0, steps=4)
+        for T in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="T > 0"):
+                ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
+                                 phi0=np.zeros(1), T=T, steps=4)
         with pytest.raises(ValueError, match="f table"):
             ParabolicProblem(graph=g, sp=quad_density(),
                              f=np.zeros((3, 2)), phi0=np.zeros(1),
@@ -234,8 +237,9 @@ class TestParabolic:
 
 class TestOptions:
     def test_validation(self):
-        with pytest.raises(ValueError, match="tol"):
-            SolverOptions(tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                SolverOptions(tol=tol)
         with pytest.raises(ValueError, match="decreasing"):
             SolverOptions(h_schedule=(1e-2, 1e-1))
 

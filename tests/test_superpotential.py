@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 import graphhvi as gh
 from graphhvi.superpotential import (PiecewiseDensity, build,
@@ -24,6 +25,10 @@ class TestPiecewiseDensity:
             PiecewiseDensity((0.0,), ([0.0],))
         with pytest.raises(ValueError, match="empty"):
             PiecewiseDensity((0.0,), ([], [0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseDensity((0.0,), ([math.nan], [0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseDensity((math.inf,), ([0.0], [0.0]))
 
     def test_right_continuous_value(self):
         d = abs_density().density
@@ -42,6 +47,75 @@ class TestPiecewiseDensity:
                              ([0.0], [1.0], [2.0], [3.0]))
         assert d.min_breakpoint_gap() == pytest.approx(0.25)
         assert abs_density().density.min_breakpoint_gap() == math.inf
+
+
+def _per_piece(pieces, bp, x, side, order=0):
+    """Reference: ``P.polyval`` on each piece under a mask (the evaluator
+    the coefficient tables replaced)."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(bp, x, side=side)
+    out = np.empty(x.shape)
+    for i, c in enumerate(pieces):
+        mask = idx == i
+        if mask.any():
+            cc = P.polyder(c, order) if order else c
+            out[mask] = P.polyval(x[mask], cc)
+    return out
+
+
+def _identical(a, b):
+    return (isinstance(a, np.ndarray) and a.shape == b.shape
+            and a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
+
+_coef = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@st.composite
+def densities_and_points(draw):
+    bp = sorted(set(draw(st.lists(st.floats(-5, 5), max_size=4))))
+    pieces = [draw(st.lists(_coef, min_size=1, max_size=4))
+              for _ in range(len(bp) + 1)]
+    pts = draw(st.lists(st.floats(-20, 20), max_size=30))
+    extra = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    return (PiecewiseDensity(tuple(bp), tuple(pieces)),
+            np.array(pts + bp + extra))
+
+
+class TestTableEvaluator:
+    @settings(deadline=None, max_examples=300)
+    @given(densities_and_points())
+    @np.errstate(invalid="ignore")  # inf * 0 on both sides
+    def test_bit_identical_to_per_piece(self, case):
+        d, x = case
+        bp, pieces = d.breakpoints, d.pieces
+        assert _identical(d.value(x), _per_piece(pieces, bp, x, "right"))
+        assert _identical(d.derivative(x),
+                          _per_piece(pieces, bp, x, "right", order=1))
+        left, right = d.one_sided(x)
+        assert _identical(left, _per_piece(pieces, bp, x, "left"))
+        assert _identical(right, _per_piece(pieces, bp, x, "right"))
+        sp = build(d)
+        assert _identical(sp.value(x),
+                          _per_piece(sp.antiderivative, bp, x, "right"))
+        jumps = [(b, lo, hi) for b, lo, hi
+                 in zip(bp, _per_piece(pieces, bp, bp, "left"),
+                        _per_piece(pieces, bp, bp, "right")) if lo != hi]
+        assert d.jumps() == jumps
+
+    @pytest.mark.parametrize("x", [np.float64(0.25), -1.5,
+                                   np.linspace(-2, 2, 12).reshape(3, 4)])
+    def test_shape_kept(self, x):
+        sp = down_jump_density()
+        d, bp = sp.density, sp.density.breakpoints
+        ref = _per_piece(d.pieces, bp, x, "right")
+        assert _identical(d.value(x), ref)
+        assert _identical(d.derivative(x),
+                          _per_piece(d.pieces, bp, x, "right", order=1))
+        assert _identical(d.one_sided(x)[0], _per_piece(d.pieces, bp, x,
+                                                        "left"))
+        assert _identical(sp.value(x),
+                          _per_piece(sp.antiderivative, bp, x, "right"))
 
 
 class TestAntiderivative:
