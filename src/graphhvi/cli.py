@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
@@ -46,8 +47,14 @@ def _load_superpotential(doc, base_dir: str):
 
 _PROBLEM_KEYS = {"graph", "superpotential", "f", "parabolic", "solver"}
 _PARABOLIC_KEYS = {"T", "steps", "phi0", "f_table", "sp_schedule"}
-_SOLVER_KEYS = {"tol": float, "strategy": str, "max_inner": int,
-                "h_schedule": lambda hs: tuple(float(h) for h in hs)}
+_SOLVER_KEYS = {"tol": numbers.Real, "max_inner": numbers.Integral}
+
+
+def _number(value, kind, what: str):
+    """``value`` if it is a ``kind`` number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{what} must be a number, not {value!r}")
+    return value
 
 
 def load_problem(path: str):
@@ -63,6 +70,8 @@ def load_problem(path: str):
     for key in ("graph", "superpotential", "f"):
         if key not in doc:
             raise InputError(f"{path}: missing required key {key!r}")
+    if not isinstance(doc["graph"], str):
+        raise InputError(f"{path}: 'graph' must be a file name")
     try:
         g = load_graph(os.path.join(base, doc["graph"]))
     except GraphFormatError as exc:
@@ -77,8 +86,8 @@ def load_problem(path: str):
     if not isinstance(solver, dict) or set(solver) - set(_SOLVER_KEYS):
         raise InputError(f"{path}: malformed 'solver' section")
     try:
-        opts = solvers.SolverOptions(**{k: _SOLVER_KEYS[k](v)
-                                        for k, v in solver.items()})
+        opts = solvers.SolverOptions(**{
+            k: _number(v, _SOLVER_KEYS[k], k) for k, v in solver.items()})
     except ValueError as exc:
         raise InputError(f"{path}: solver options: {exc}") from exc
 
@@ -93,20 +102,21 @@ def load_problem(path: str):
 
 
 def _build_parabolic(g, sp, f, parabolic, base):
-    steps = int(parabolic["steps"])
+    steps = _number(parabolic["steps"], numbers.Integral, "steps")
     phi0 = node_function(g, parabolic["phi0"])
     if "f_table" in parabolic:
         table = parabolic["f_table"]
-        if len(table) != steps:
-            raise InputError(f"f_table length {len(table)} != steps {steps}")
+        if not isinstance(table, list) or len(table) != steps:
+            raise InputError(f"f_table must be a list of {steps} loads")
         f = np.stack([node_function(g, row) for row in table])
     if "sp_schedule" in parabolic:
         try:
             sp = superpotential.schedule_from_document(parabolic["sp_schedule"])
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    return solvers.ParabolicProblem(graph=g, sp=sp, f=f, phi0=phi0,
-                                    T=float(parabolic["T"]), steps=steps)
+    T = float(_number(parabolic["T"], numbers.Real, "T"))
+    return solvers.ParabolicProblem(graph=g, sp=sp, f=f, phi0=phi0, T=T,
+                                    steps=steps)
 
 
 def _emit(doc: dict, args, title: str) -> None:

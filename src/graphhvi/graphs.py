@@ -10,6 +10,7 @@ built on the graph.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -78,10 +79,14 @@ class WeightedGraph:
         return float(self.mu.sum())
 
 
+def _real(x) -> bool:
+    """A real number that is not a bool (JSON ``true`` is not a number)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _weight(x, name: str, rec) -> float:
     """A weight as a float, if it is a finite positive number (not a bool)."""
-    if (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and 0 < x <= sys.float_info.max):
+    if _real(x) and 0 < x <= sys.float_info.max:
         return float(x)
     raise GraphFormatError(f"non-positive or non-finite {name} in record "
                            f"{rec!r}")
@@ -152,15 +157,20 @@ def load_graph(document) -> WeightedGraph:
         raise GraphFormatError(f"unknown keys in graph document: {sorted(extra)}")
     if "nodes" not in document:
         raise GraphFormatError("graph document missing 'nodes'")
+    if not all(isinstance(document.get(k, []), list) for k in _TOP_KEYS):
+        raise GraphFormatError("graph 'nodes' and 'adjacencies' must be lists")
 
     nodes = []
     for rec in document["nodes"]:
-        if not isinstance(rec, dict) or set(rec) != _NODE_KEYS:
+        if (not isinstance(rec, dict) or set(rec) != _NODE_KEYS
+                or not isinstance(rec["id"], str)):
             raise GraphFormatError(f"malformed node record {rec!r}")
         nodes.append((rec["id"], rec["mu"], rec["kappa"]))
     adjacencies = []
     for rec in document.get("adjacencies", []):
-        if not isinstance(rec, dict) or set(rec) != _ADJ_KEYS:
+        if (not isinstance(rec, dict) or set(rec) != _ADJ_KEYS
+                or not isinstance(rec["a"], str)
+                or not isinstance(rec["b"], str)):
             raise GraphFormatError(f"malformed adjacency record {rec!r}")
         adjacencies.append((rec["a"], rec["b"], rec["rho"], rec["gamma"]))
     return from_data(nodes, adjacencies)
@@ -170,7 +180,7 @@ def node_function(g: WeightedGraph, values) -> np.ndarray:
     """Coerce ``values`` (mapping or array) to a vector in canonical node order.
 
     A mapping must assign a value to every node and nothing else; every
-    value must be finite.
+    value of a mapping or list must be a finite number.
     """
     if isinstance(values, dict):
         missing = set(g.nodes) - set(values)
@@ -180,6 +190,8 @@ def node_function(g: WeightedGraph, values) -> np.ndarray:
                 f"node function support mismatch: missing={sorted(missing)}, "
                 f"extra={sorted(extra)}")
         values = [values[v] for v in g.nodes]
+    if isinstance(values, (list, tuple)) and not all(map(_real, values)):
+        raise GraphFormatError("node function values must be numbers")
     arr = np.asarray(values, dtype=float)
     if arr.shape != (g.num_nodes,):
         raise GraphFormatError(

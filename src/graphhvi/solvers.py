@@ -1,11 +1,11 @@
 """Elliptic and parabolic inclusion solvers with residual certification.
 
 The elliptic path solves ``(K + C) phi + M xi = M f`` with
-``xi(v) in dj(phi(v))`` by continuation: each jump of the density is
-replaced by a linear ramp of shrinking width h, the smooth system is
-solved by damped Newton (with a Levenberg shift and a Picard fallback),
-and a final active-set polish pins nodes sitting at jump breakpoints so
-the exact inclusion residual reaches the requested tolerance.
+``xi(v) in dj(phi(v))`` by a primal-dual active-set (semismooth Newton)
+method on the exact inclusion: nodes are either pinned at a breakpoint of
+the density, with ``xi`` free in the jump interval, or free on one
+polynomial piece, where the density is linearised; each step is one SPD
+solve on the free nodes.
 
 The parabolic path is implicit Euler: every time step is the elliptic
 problem with ``kappa + mu/tau`` and load ``f + phi_prev/tau``.
@@ -24,7 +24,8 @@ from .calculus import (SobolevNormReport, _check_nodes, inner_product_nodes,
 from .graphs import WeightedGraph
 from .operators import (AssembledOperator, OperatorConstants, _pcg, apply,
                         assemble, bilinear_form, constants)
-from .superpotential import (Superpotential, SuperpotentialSchedule,
+# mollify is not used here; it stays importable as graphhvi.solvers.mollify
+from .superpotential import (Superpotential, SuperpotentialSchedule,  # noqa
                              growth_certificate, mollify,
                              relaxed_monotonicity_estimate)
 
@@ -105,21 +106,17 @@ class ParabolicResult:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
-    h_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    max_inner: int = 200
-    max_polish: int = 30
-    strategy: str = "newton"      # "newton" (with fallback) or "picard"
+    max_inner: int = 200          # cap on active-set steps
     initial: np.ndarray | None = None
     with_certificates: bool = True
     certificate_range: float | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError("tol must be positive")
-        hs = tuple(float(h) for h in self.h_schedule)
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("h_schedule must be strictly decreasing")
-        object.__setattr__(self, "h_schedule", hs)
+        if not 0 < self.tol < math.inf:  # also rejects NaN
+            raise ValueError("tol must be positive and finite")
+        if isinstance(self.max_inner, bool) or not (
+                isinstance(self.max_inner, int) and self.max_inner >= 0):
+            raise ValueError("max_inner must be a non-negative integer")
 
 
 def sum_functional(g: WeightedGraph, sp: Superpotential,
@@ -135,19 +132,11 @@ def sum_directional_bound(g: WeightedGraph, sp: Superpotential,
                                               _check_nodes(g, psi))))
 
 
-def inclusion_residual(opr: AssembledOperator, sp: Superpotential,
-                       phi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-node distance of ``f - L phi`` to the subdifferential interval."""
-    target = f - apply(opr, phi)
-    lo, hi = sp.interval(phi)
-    return np.maximum(np.maximum(lo - target, target - hi), 0.0)
-
-
 def verify_inclusion(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
                      f: np.ndarray) -> np.ndarray:
     """Pointwise inclusion residual; zero everywhere certifies a weak solution."""
-    return inclusion_residual(assemble(g), sp, _check_nodes(g, phi),
-                              _check_nodes(g, f))
+    return _measure(assemble(g), sp, _check_nodes(g, phi),
+                    _check_nodes(g, f))[-1]
 
 
 def hvi_residual(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
@@ -219,136 +208,98 @@ def certify(problem: EllipticProblem, r: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# smooth inner solver
+# active-set semismooth Newton
 
 
-def _smooth_solve(K, kappa, mu, sp, f, phi0, max_inner, strategy="newton",
-                  rtol=1e-13):
-    """Damped Newton (with Levenberg shift and Picard fallback) for
-    ``K phi + kappa phi + mu beta(phi) = mu f`` with a continuous density."""
-    beta = sp.density.value
-    beta_prime = sp.density.derivative
-    mf = mu * f
-    target = rtol * (1.0 + math.sqrt(mf @ mf))
-
-    def res(p):
-        return K @ p + kappa * p + mu * beta(p) - mf
-
-    phi = phi0.astype(float, copy=True)
-    r = res(phi)
-    rn = math.sqrt(r @ r)
-    pcg_iters = 4 * len(phi) + 200
-    kdiag = K.diagonal()
-    floor = 1e-12 * max(float(kappa.max()), 1.0)
-    it = 0
-    while rn > target and it < max_inner:
-        stalled = strategy == "picard"
-        if not stalled:
-            dshift = mu * beta_prime(phi)
-            dmin = float(np.min(kappa + dshift))
-            sigma = max(0.0, float(np.max((floor - kappa - dshift) / mu))) \
-                if dmin < floor else 0.0
-            diag = kappa + dshift + sigma * mu
-            d, _, _ = _pcg(lambda v: K @ v + diag * v, kdiag + diag,
-                           -r, None, 1e-13, pcg_iters)
-            alpha, accepted = 1.0, False
-            while alpha > 2.0 ** -30:
-                trial = phi + alpha * d
-                rt = res(trial)
-                rtn = math.sqrt(rt @ rt)
-                if rtn <= (1.0 - 1e-4 * alpha) * rn:
-                    phi, r, rn = trial, rt, rtn
-                    accepted = True
-                    break
-                alpha *= 0.5
-            it += 1
-            stalled = not accepted
-        if stalled:
-            # Picard splitting: contraction whenever the density Lipschitz
-            # bound stays below the coercivity margin
-            reach = float(np.max(np.abs(phi), initial=0.0)) \
-                + float(np.max(np.abs(f), initial=0.0)) + 1.0
-            sig = min(max(sp.derivative_bound(reach), 1e-3), 1e8)
-            diag = kappa + sig * mu
-            for _ in range(10):
-                rhs = mu * (f - beta(phi) + sig * phi)
-                phi, _, _ = _pcg(lambda v: K @ v + diag * v, kdiag + diag,
-                                 rhs, phi, 1e-13, pcg_iters)
-                it += 1
-                if it >= max_inner:
-                    break
-            r = res(phi)
-            rn = math.sqrt(r @ r)
-    return phi, it, rn <= target
+def _measure(opr: AssembledOperator, sp: Superpotential, phi: np.ndarray,
+             f: np.ndarray):
+    """Residual norm, required subgradient ``f - L phi``, its interval and
+    the pointwise inclusion residual (the distance of ``f - L phi`` to the
+    interval) at ``phi``."""
+    target = f - apply(opr, phi)
+    lo, hi = sp.interval(phi)
+    resid = np.maximum(np.maximum(lo - target, target - hi), 0.0)
+    return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
 
-def _clip_ramp(h: float, sp: Superpotential) -> float:
-    gap = sp.density.min_breakpoint_gap()
-    if math.isinf(gap):
-        return h
-    return min(h, 0.49 * gap)
+def _active_set(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
+                phi: np.ndarray, opts: SolverOptions, trace: list[dict]):
+    """Primal-dual active-set (semismooth Newton) loop on the exact inclusion.
 
-
-def _polish(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
-            phi: np.ndarray, opts: SolverOptions,
-            trace: list[dict]) -> np.ndarray:
-    """Active-set refinement: pin nodes at jump breakpoints, re-solve the
-    smooth system on the free nodes, release pins whose required subgradient
-    leaves the interval."""
-    g = opr.graph
-    jumps = sp.density.jumps()
-    if not jumps:
-        return phi
+    Node v is in state ``s[v]``: even ``2p`` is free on piece p, where
+    ``xi = beta_p(phi)`` is linearised; odd ``2k + 1`` is pinned at
+    breakpoint k with ``xi`` free in the jump interval.  Every transition
+    moves one step along this order: a free node crossing a breakpoint is
+    pinned at the first one it crosses, and a pinned node whose required
+    ``xi`` lies above (below) its interval is released to the right
+    (left).  Each step is one SPD solve on the free nodes with a merit line
+    search on the residual norm.  Returns the best measurement tuple.
+    """
+    density = sp.density
+    bp = density.breakpoints
+    ends = np.concatenate(([-np.inf], bp, [np.inf]))  # piece p: ends[p:p+2]
     K, kappa, mu = opr.stiffness, opr.kappa, opr.mu
-    jump_b, jleft, jright = np.array(jumps).T
-    h_floor = _clip_ramp(opts.h_schedule[-1], sp)
-    sp_floor = mollify(sp, h_floor)  # equals sp outside the tiny ramps
-    snap = max(4.0 * h_floor, 1e-6)
-
-    best_phi = phi.copy()
-    best_rn = lp_norm_nodes(g, inclusion_residual(opr, sp, phi, f))
-    for _ in range(opts.max_polish):
-        gaps = np.abs(phi[:, None] - jump_b[None, :])
-        nearest = np.argmin(gaps, axis=1)
-        dist = gaps[np.arange(len(phi)), nearest]
-        resid = inclusion_residual(opr, sp, phi, f)
-        node_tol = opts.tol / max(math.sqrt(g.mu_total), 1.0)
-        active = (dist <= snap) | ((resid > node_tol)
-                                   & (dist <= 0.05 * (1.0 + np.abs(phi))))
-        phi_new = phi.copy()
-        phi_new[active] = jump_b[nearest[active]]
-        free = ~active
-        inner = 0
-        if free.any():
-            Kfree = K[free]
-            Ksub = Kfree[:, free]
-            coupling = (Kfree[:, active] @ phi_new[active]) / mu[free]
-            sub, inner, _ = _smooth_solve(Ksub, kappa[free], mu[free],
-                                          sp_floor, f[free] - coupling,
-                                          phi[free], opts.max_inner,
-                                          opts.strategy)
-            phi_new[free] = sub
-        resid_new = inclusion_residual(opr, sp, phi_new, f)
-        rn = lp_norm_nodes(g, resid_new)
-        trace.append({"stage": "polish", "h": h_floor, "inner_steps": inner,
-                      "residual_norm": rn, "active": int(active.sum())})
-        if rn < best_rn:
-            best_phi, best_rn = phi_new.copy(), rn
-        if rn <= opts.tol:
-            return phi_new
-        # release pinned nodes whose required subgradient left the interval
-        target = f - apply(opr, phi_new)
-        viol = active & (resid_new > node_tol)
-        if viol.any():
-            idx = nearest[viol]
-            going_up = target[viol] > np.maximum(jleft[idx], jright[idx])
-            larger_right = jright[idx] >= jleft[idx]
-            side = np.where(going_up == larger_right, 1.0, -1.0)
-            phi_new[viol] = jump_b[idx] + side * max(8.0 * snap, 1e-5)
-        elif np.array_equal(phi_new, phi):
+    n = len(phi)
+    s = (np.searchsorted(bp, phi, side="left")
+         + np.searchsorted(bp, phi, side="right"))
+    m = _measure(opr, sp, phi, f)
+    best, seen = (phi, *m), {}
+    steps = solves = iters = backtracks = 0
+    while True:
+        rn, target, lo, hi, _ = m
+        trace.append({"stage": "active-set", "inner_steps": solves,
+                      "linear_iters": iters, "backtracks": backtracks,
+                      "residual_norm": rn, "active": int(np.sum(s % 2))})
+        if not math.isfinite(rn):
+            reason = "non-finite"
             break
-        phi = phi_new
-    return best_phi
+        if rn < best[1]:
+            best = (phi, *m)
+        if rn <= opts.tol:
+            reason = "tol-reached"
+            break
+        key = s.tobytes()
+        if seen.get(key, math.inf) <= rn:
+            reason = "cycled"
+            break
+        seen[key] = rn
+        if steps >= opts.max_inner:
+            reason = "max-iter"
+            break
+        steps += 1
+        pinned = s % 2 == 1
+        s[pinned & (target > hi)] += 1
+        s[pinned & (target < lo)] -= 1
+        free = np.flatnonzero(s % 2 == 0)
+        piece = s[free] // 2
+        x = phi[free]
+        r = mu[free] * (density.value(x, piece) - target[free])
+        diag = kappa[free] + mu[free] * density.derivative(x, piece)
+        diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
+        Kf = K if len(free) == n else K[free][:, free]
+        dx, _, iters = _pcg(lambda v: Kf @ v + diag * v,
+                            Kf.diagonal() + diag, -r, None, 1e-13,
+                            4 * len(free) + 200)
+        left, right = ends[piece], ends[piece + 1]
+
+        def move(alpha):
+            step = x + alpha * dx
+            trial, ts = phi.copy(), s.copy()
+            trial[free] = np.clip(step, left, right)
+            ts[free] += (step >= right).astype(int) - (step <= left)
+            return trial, ts, _measure(opr, sp, trial, f)
+
+        solves, backtracks, alpha = 1, 0, 1.0
+        full = trial = move(alpha)
+        while trial[2][0] > (1.0 - 1e-4 * alpha) * rn and alpha > 2.0 ** -10:
+            alpha *= 0.5
+            backtracks += 1
+            trial = move(alpha)
+        if not trial[2][0] < rn:  # no descent: take the full step
+            trial = full
+        phi, s, m = trial
+    trace[-1]["reason"] = reason
+    return best
 
 
 def solve_elliptic(problem: EllipticProblem,
@@ -356,52 +307,21 @@ def solve_elliptic(problem: EllipticProblem,
     """Solve the elliptic inclusion and certify the result.
 
     Returns the best iterate with ``converged=False`` when the inclusion
-    residual norm cannot be pushed below ``options.tol``.
+    residual norm cannot be pushed below ``options.tol``; the last trace
+    entry names the reason the loop stopped.
     """
     opts = options or SolverOptions()
     g, sp, f = problem.graph, problem.sp, problem.f
     opr = assemble(g)
     phi = (np.zeros(g.num_nodes) if opts.initial is None
-           else _check_nodes(g, opts.initial))
+           else _check_nodes(g, opts.initial).copy())
     trace: list[dict] = []
-    jumps = sp.density.jumps()
-
-    if not jumps:
-        phi, inner, _ = _smooth_solve(opr.stiffness, opr.kappa, opr.mu, sp,
-                                      f, phi, opts.max_inner, opts.strategy)
-        rn = lp_norm_nodes(g, inclusion_residual(opr, sp, phi, f))
-        trace.append({"stage": "smooth", "h": 0.0, "inner_steps": inner,
-                      "residual_norm": rn})
-    else:
-        seen = set()
-        rn = math.inf
-        for h in opts.h_schedule:
-            hh = _clip_ramp(h, sp)
-            if hh in seen:
-                continue
-            seen.add(hh)
-            sph = mollify(sp, hh)
-            phi, inner, _ = _smooth_solve(opr.stiffness, opr.kappa, opr.mu,
-                                          sph, f, phi, opts.max_inner,
-                                          opts.strategy)
-            rn = lp_norm_nodes(g, inclusion_residual(opr, sp, phi, f))
-            trace.append({"stage": "continuation", "h": hh,
-                          "inner_steps": inner, "residual_norm": rn})
-            if rn <= opts.tol:
-                break
-        if rn > opts.tol:
-            phi = _polish(opr, sp, f, phi, opts, trace)
-
-    resid = inclusion_residual(opr, sp, phi, f)
-    rn = lp_norm_nodes(g, resid)
-    target = f - apply(opr, phi)
-    lo, hi = sp.interval(phi)
-    xi = np.clip(target, lo, hi)
+    phi, rn, target, lo, hi, resid = _active_set(opr, sp, f, phi, opts, trace)
     certificates = (certify(problem, opts.certificate_range)
                     if opts.with_certificates else [])
     return SolveReport(
-        phi=phi, xi=xi, inclusion_residual=resid, residual_norm=rn,
-        converged=rn <= opts.tol, iterations=trace,
+        phi=phi, xi=np.clip(target, lo, hi), inclusion_residual=resid,
+        residual_norm=rn, converged=rn <= opts.tol, iterations=trace,
         certificates=certificates, norms=sobolev_norms(g, phi),
         constants=constants(g),
     )

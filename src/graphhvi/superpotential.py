@@ -17,6 +17,8 @@ from itertools import zip_longest
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .graphs import _real
+
 
 def _table(polys) -> np.ndarray:
     """Coefficient k of polynomial i at ``[k, i]``, zero-padded."""
@@ -77,17 +79,22 @@ class PiecewiseDensity:
                         np.searchsorted(bp, x, side="right")))
         return _horner(self._beta, idx, x)
 
-    def value(self, x) -> np.ndarray:
-        """Right-continuous evaluation (breakpoints take the right piece)."""
+    def _piece(self, x, piece) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        return _horner(self._beta,
-                       np.searchsorted(self.breakpoints, x, side="right"), x)
+        if piece is None:
+            piece = np.searchsorted(self.breakpoints, x, side="right")
+        return x, piece
 
-    def derivative(self, x) -> np.ndarray:
-        """Right-continuous derivative of the density."""
-        x = np.asarray(x, dtype=float)
-        return _horner(self._beta_prime,
-                       np.searchsorted(self.breakpoints, x, side="right"), x)
+    def value(self, x, piece=None) -> np.ndarray:
+        """Right-continuous evaluation (breakpoints take the right piece),
+        or the polynomial of piece index ``piece`` (an array like ``x``)."""
+        x, piece = self._piece(x, piece)
+        return _horner(self._beta, piece, x)
+
+    def derivative(self, x, piece=None) -> np.ndarray:
+        """Right-continuous derivative of the density, or of piece ``piece``."""
+        x, piece = self._piece(x, piece)
+        return _horner(self._beta_prime, piece, x)
 
     def one_sided(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Left and right limits at each point (equal off breakpoints)."""
@@ -357,16 +364,25 @@ def from_document(doc: dict) -> Superpotential:
     """Parse ``{"breakpoints": [...], "pieces": [[c0, c1, ...], ...]}``."""
     if not isinstance(doc, dict) or set(doc) != {"breakpoints", "pieces"}:
         raise ValueError(f"malformed superpotential document: {doc!r}")
-    return build(PiecewiseDensity(np.asarray(doc["breakpoints"], dtype=float),
+    bp, pieces = doc["breakpoints"], doc["pieces"]
+    if not (isinstance(pieces, list)
+            and all(isinstance(c, list) and all(map(_real, c))
+                    for c in [bp, *pieces])):
+        raise ValueError("superpotential breakpoints and pieces must be "
+                         f"lists of numbers: {doc!r}")
+    return build(PiecewiseDensity(np.asarray(bp, dtype=float),
                                   tuple(np.asarray(c, dtype=float)
-                                        for c in doc["pieces"])))
+                                        for c in pieces)))
 
 
 def schedule_from_document(entries: list) -> SuperpotentialSchedule:
     """Parse a schedule file: list of ``{"until": t, "density": {...}}``."""
+    if not isinstance(entries, list):
+        raise ValueError("a schedule must be a list of entries")
     untils, sps = [], []
     for rec in entries:
-        if not isinstance(rec, dict) or set(rec) != {"until", "density"}:
+        if (not isinstance(rec, dict) or set(rec) != {"until", "density"}
+                or not _real(rec["until"])):
             raise ValueError(f"malformed schedule entry: {rec!r}")
         untils.append(float(rec["until"]))
         sps.append(from_document(rec["density"]))

@@ -52,6 +52,19 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("node, adj", [
+        ({"id": {}, "mu": 1.0, "kappa": 1.0}, []),
+        ({"id": 3, "mu": 1.0, "kappa": 1.0}, []),
+        ({"id": "v", "mu": 1.0, "kappa": 1.0},
+         [{"a": ["v"], "b": "w", "rho": 1.0, "gamma": 1.0}]),
+    ], ids=["object-id", "number-id", "list-endpoint"])
+    def test_non_string_ids(self, tmp_path, capsys, node, adj):
+        path = write(tmp_path / "bad.json", {"nodes": [node],
+                                             "adjacencies": adj})
+        code, _, err = run(["validate", "--graph", path], capsys)
+        assert code == 2
+        assert "malformed" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(["validate", "--graph",
                             str(tmp_path / "nope.json")], capsys)
@@ -120,6 +133,42 @@ class TestSolveElliptic:
         assert code == 1
         assert json.loads(out)["converged"] is False
 
+    def test_trace_names_termination_reason(self, workspace, capsys):
+        path = write(workspace / "capped.json", {
+            "graph": "graph.json",
+            "superpotential": QUAD_SP,
+            "f": {"v": 5.0},
+            "solver": {"max_inner": 0},
+        })
+        code, out, _ = run(["solve-elliptic", "--problem", path], capsys)
+        assert code == 1
+        trace = json.loads(out)["trace"]
+        assert trace[-1]["reason"] == "max-iter"
+        assert trace[-1]["inner_steps"] == 0
+        _, again, _ = run(["solve-elliptic", "--problem", path], capsys)
+        assert again == out
+        code, out, _ = run(["solve-elliptic", "--problem",
+                            str(workspace / "problem.json")], capsys)
+        trace = json.loads(out)["trace"]
+        assert code == 0 and trace[-1]["reason"] == "tol-reached"
+        for entry in trace:
+            assert {"stage", "inner_steps", "residual_norm",
+                    "active"} <= set(entry)
+
+    @pytest.mark.parametrize("knob, value", [("h_schedule", [0.1, 0.01]),
+                                             ("strategy", "picard"),
+                                             ("max_polish", 30)])
+    def test_removed_solver_knob(self, workspace, capsys, knob, value):
+        path = write(workspace / "old.json", {
+            "graph": "graph.json",
+            "superpotential": ABS_SP,
+            "f": {"v": 1.0},
+            "solver": {knob: value},
+        })
+        code, _, err = run(["solve-elliptic", "--problem", path], capsys)
+        assert code == 2
+        assert "malformed 'solver' section" in err
+
     def test_unknown_problem_key(self, workspace, capsys):
         path = write(workspace / "broken.json", {
             "graph": "graph.json",
@@ -132,8 +181,9 @@ class TestSolveElliptic:
         assert "unknown keys" in err
 
     @pytest.mark.parametrize("mu, load", [(math.inf, 2.0), (True, 2.0),
-                                          (1.0, math.nan)],
-                             ids=["mu-infinity", "mu-bool", "nan-load"])
+                                          (1.0, math.nan), (1.0, {})],
+                             ids=["mu-infinity", "mu-bool", "nan-load",
+                                  "object-load"])
     def test_non_finite_or_bool_input(self, tmp_path, capsys, mu, load):
         write(tmp_path / "graph.json",
               {"nodes": [{"id": "v", "mu": mu, "kappa": 1.0}],
@@ -209,6 +259,17 @@ class TestSolveParabolic:
         code, _, err = run(["solve-parabolic", "--problem", path], capsys)
         assert code == 2
         assert "f_table" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("T", {}), ("T", True), ("steps", 8.5), ("steps", "8"),
+        ("f_table", {"v": 1.0}), ("sp_schedule", 3),
+        ("sp_schedule", [{"until": {}, "density": QUAD_SP}]),
+    ])
+    def test_malformed_fields(self, workspace, capsys, key, value):
+        path = self.problem(workspace, **{key: value})
+        code, _, err = run(["solve-parabolic", "--problem", path], capsys)
+        assert code == 2
+        assert "error:" in err
 
     def test_missing_parabolic_section(self, workspace, capsys):
         code, _, err = run(["solve-parabolic", "--problem",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphhvi as gh
+from graphhvi.exhaustion import GraphGenerator, WeightLaw, truncate
 from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
                               SolverOptions, certify,
                               default_certificate_range, energy,
@@ -20,6 +21,31 @@ from conftest import (abs_density, down_jump_density, make_random_graph,
 
 def single_node(mu=1.0, kappa=1.0):
     return gh.from_data([("v", mu, kappa)], [])
+
+
+# two down-jumps (at -0.5 and 0) and one up-jump (at 0.5)
+NONCONVEX3 = ((-0.5, 0.0, 0.5), ([-0.5, 0.1], [-1.0, 0.1], [1.0, 0.1],
+                                 [0.3, 0.1]))
+ABS = ((0.0,), ([-1.0], [1.0]))
+
+
+def density(spec):
+    return build(PiecewiseDensity(spec[0], tuple(map(np.array, spec[1]))))
+
+
+def oracle_residual(g, spec, phi, f):
+    """mu-weighted l2 distance of ``f - L phi`` to the interval spanned by
+    the one-sided limits of the density, from the raw edge arrays."""
+    lphi = g.kappa * phi
+    np.add.at(lphi, g.edge_src, g.gamma * (phi[g.edge_src] - phi[g.edge_dst]))
+    target = f - lphi / g.mu
+    bps, pieces = spec
+    limits = [np.array([np.polyval(pieces[i][::-1], x) for i, x in
+                        zip(np.searchsorted(bps, phi, side=side), phi)])
+              for side in ("left", "right")]
+    lo, hi = np.minimum(*limits), np.maximum(*limits)
+    r = np.maximum(np.maximum(lo - target, target - hi), 0.0)
+    return math.sqrt(float(np.sum(g.mu * r * r)))
 
 
 class TestFunctionals:
@@ -127,6 +153,85 @@ class TestEllipticNonsmooth:
                                              np.array([5.0])), opts)
         assert not rep.converged
         assert rep.residual_norm > opts.tol
+
+
+class TestActiveSet:
+    def test_release_right_at_down_jump(self):
+        # phi = 0 is the only solution: it lies to the right of the pin at
+        # -0.5, where the required subgradient -0.4 exceeds the interval
+        # [-1.05, -0.55] of the down-jump
+        sp = density(NONCONVEX3)
+        for start in (-2.0, -0.5, -0.2, 0.0, 0.3, 0.5, 2.0):
+            rep = solve_elliptic(EllipticProblem(single_node(), sp,
+                                                 np.array([-0.9])),
+                                 SolverOptions(initial=np.array([start])))
+            assert rep.converged
+            assert rep.phi[0] == 0.0
+
+    def test_trace_reasons(self):
+        problem = EllipticProblem(single_node(), quad_density(),
+                                  np.array([5.0]))
+        rep = solve_elliptic(problem)
+        assert rep.iterations[-1]["reason"] == "tol-reached"
+        assert [t["inner_steps"] for t in rep.iterations] == [0, 1]
+        assert rep.iterations[0]["active"] == 0
+        rep = solve_elliptic(problem, SolverOptions(max_inner=0))
+        assert rep.iterations[-1]["reason"] == "max-iter"
+        huge = build(PiecewiseDensity((), (np.array([0.0, 0.0, 1.0]),)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = solve_elliptic(EllipticProblem(single_node(), huge,
+                                                 np.array([1.0])),
+                                 SolverOptions(initial=np.array([1e200])))
+        assert rep.iterations[-1]["reason"] == "non-finite"
+        assert not rep.converged
+        assert all("reason" not in t for t in rep.iterations[:-1])
+
+
+def _sweep_graphs():
+    one = WeightLaw("constant", {"value": 1.0})
+    two = WeightLaw("constant", {"value": 2.0})
+    geo = WeightLaw("geometric-in-depth", {"value": 1.0, "ratio": 0.8})
+    return {"lattice": truncate(GraphGenerator("lattice-2d", one, one, one,
+                                               two), 8),
+            "tree": truncate(GraphGenerator("binary-tree", one, one, one,
+                                            two), 8),
+            "path": truncate(GraphGenerator("path", one, one, geo, two), 40)}
+
+
+class TestConvexSweep:
+    """The ROADMAP item 1 sweep: ``|t|``, kappa 2, mu = rho = 1, loads
+    uniform in [-2, 2] (seed 7).  The problems are convex and uniquely
+    solvable; continuation with an active-set polish failed on 3 of the 60
+    abs loads (lattice draws 2 and 11, tree draw 5) and on every nonconvex3
+    case below."""
+
+    TOL = 1e-8
+
+    def check(self, g, spec, f):
+        rep = solve_elliptic(EllipticProblem(g, density(spec), f),
+                             SolverOptions(tol=self.TOL,
+                                           with_certificates=False))
+        assert rep.converged
+        assert oracle_residual(g, spec, rep.phi, f) <= self.TOL * 1.001
+
+    @pytest.mark.parametrize("name", ["lattice", "tree", "path"])
+    def test_abs_loads(self, name):
+        g = _sweep_graphs()[name]
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            self.check(g, ABS, rng.uniform(-2.0, 2.0, g.num_nodes))
+
+    @pytest.mark.parametrize("kappa, draws", [(2.0, (2, 16)),
+                                              (1e-3, (2, 4, 6))])
+    def test_nonconvex3_lattice(self, kappa, draws):
+        one = WeightLaw("constant", {"value": 1.0})
+        g = truncate(GraphGenerator("lattice-2d", one, one, one,
+                                    WeightLaw("constant", {"value": kappa})),
+                     8)
+        rng = np.random.default_rng(7)
+        loads = [rng.uniform(-2.0, 2.0, g.num_nodes) for _ in range(20)]
+        for k in draws:
+            self.check(g, NONCONVEX3, loads[k])
 
 
 class TestVerifier:
@@ -237,19 +342,9 @@ class TestParabolic:
 
 class TestOptions:
     def test_validation(self):
-        for tol in (0.0, math.nan):
+        for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 SolverOptions(tol=tol)
-        with pytest.raises(ValueError, match="decreasing"):
-            SolverOptions(h_schedule=(1e-2, 1e-1))
-
-    def test_picard_strategy_agrees_with_newton(self):
-        g = make_random_graph(np.random.default_rng(5), max_nodes=20)
-        f = np.random.default_rng(6).uniform(-1, 1, g.num_nodes)
-        sp = quad_density(0.5)
-        newton = solve_elliptic(EllipticProblem(g, sp, f),
-                                SolverOptions(strategy="newton"))
-        picard = solve_elliptic(EllipticProblem(g, sp, f),
-                                SolverOptions(strategy="picard"))
-        assert newton.converged and picard.converged
-        np.testing.assert_allclose(newton.phi, picard.phi, atol=1e-7)
+        for max_inner in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="max_inner"):
+                SolverOptions(max_inner=max_inner)
