@@ -9,6 +9,7 @@ success, 1 solver non-convergence, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import numbers
 import os
@@ -98,10 +99,10 @@ def load_problem(path: str):
         for key in ("T", "steps", "phi0"):
             if key not in parabolic:
                 raise InputError(f"{path}: parabolic section missing {key!r}")
-    return g, sp, f, parabolic, opts, base
+    return g, sp, f, parabolic, opts
 
 
-def _build_parabolic(g, sp, f, parabolic, base):
+def _build_parabolic(g, sp, f, parabolic):
     steps = _number(parabolic["steps"], numbers.Integral, "steps")
     phi0 = node_function(g, parabolic["phi0"])
     if "f_table" in parabolic:
@@ -131,7 +132,6 @@ def _emit(doc: dict, args, title: str) -> None:
 
 
 def _apply_overrides(opts, args):
-    import dataclasses
     if getattr(args, "tol", None) is not None:
         opts = dataclasses.replace(opts, tol=args.tol)
     return opts
@@ -144,7 +144,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g, sp, f, _, opts, _ = load_problem(args.problem)
+    g, sp, f, _, opts = load_problem(args.problem)
     certs = solvers.certify(solvers.EllipticProblem(g, sp, f))
     doc = {
         "schema_version": reports.SCHEMA_VERSION,
@@ -156,7 +156,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve_elliptic(args) -> int:
-    g, sp, f, _, opts, _ = load_problem(args.problem)
+    g, sp, f, _, opts = load_problem(args.problem)
     opts = _apply_overrides(opts, args)
     rep = solvers.solve_elliptic(solvers.EllipticProblem(g, sp, f), opts)
     _emit(reports.solve_report_dict(g, rep), args, "elliptic solve")
@@ -164,18 +164,18 @@ def cmd_solve_elliptic(args) -> int:
 
 
 def cmd_solve_parabolic(args) -> int:
-    g, sp, f, parabolic, opts, base = load_problem(args.problem)
+    g, sp, f, parabolic, opts = load_problem(args.problem)
     if parabolic is None:
         raise InputError(f"{args.problem}: missing 'parabolic' section")
     opts = _apply_overrides(opts, args)
-    problem = _build_parabolic(g, sp, f, parabolic, base)
+    problem = _build_parabolic(g, sp, f, parabolic)
     res = solvers.solve_parabolic(problem, opts)
     _emit(reports.parabolic_report_dict(g, res), args, "parabolic solve")
     return 0 if res.converged else 1
 
 
 def cmd_verify(args) -> int:
-    g, sp, f, _, opts, _ = load_problem(args.problem)
+    g, sp, f, _, opts = load_problem(args.problem)
     opts = _apply_overrides(opts, args)
     phi_doc = _load_json(args.phi)
     try:
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hemivariational inequality solver on weighted graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True):
+    def common(p):
         p.add_argument("--out", default=None, help="report output path "
                        "(default: stdout)")
         p.add_argument("--format", choices=("human", "machine"),

@@ -10,14 +10,15 @@ node functions by zero, the discrete Dirichlet condition.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .calculus import embedding_diagnostics, sobolev_norms
-from .graphs import WeightedGraph, from_data
+from .graphs import WeightedGraph, _real, _rho_matrix, from_data
 from .solvers import EllipticProblem, SolveReport, SolverOptions, solve_elliptic
 from .superpotential import Superpotential
 
@@ -38,27 +39,41 @@ def _root_only(params, depth):
     return float(params["value"]) if depth == 0 else 0.0
 
 
+# formula id -> (its parameters, its value at a depth)
 FORMULAS = {
-    "constant": _constant,
-    "geometric-in-depth": _geometric,
-    "power-in-depth": _power,
-    "root-only": _root_only,   # load laws only; not valid as a weight law
+    "constant": (("value",), _constant),
+    "geometric-in-depth": (("value", "ratio"), _geometric),
+    "power-in-depth": (("value", "exponent"), _power),
+    "root-only": (("value",), _root_only),   # load laws only, not weights
 }
 
 
 @dataclass(frozen=True)
 class WeightLaw:
-    """Closed-form value as a function of combinatorial depth."""
+    """Closed-form value as a function of combinatorial depth; ``params``
+    are exactly the formula's parameters, each a finite number."""
 
     formula: str
     params: dict
 
+    def __post_init__(self):
+        if not isinstance(self.formula, str) or self.formula not in FORMULAS:
+            raise ValueError(f"unknown formula id: {self.formula!r}")
+        names = FORMULAS[self.formula][0]
+        if not isinstance(self.params, dict) or set(self.params) != set(names):
+            raise ValueError(f"formula {self.formula!r} takes exactly the "
+                             f"parameters {list(names)}, not {self.params!r}")
+        for name, value in self.params.items():
+            if not (_real(value) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{self.formula} parameter {name!r} must be "
+                                 f"a finite number, not {value!r}")
+
     def __call__(self, depth: int) -> float:
         try:
-            fn = FORMULAS[self.formula]
-        except KeyError:
-            raise ValueError(f"unknown formula id: {self.formula!r}") from None
-        return fn(self.params, depth)
+            return FORMULAS[self.formula][1](self.params, depth)
+        except OverflowError:
+            raise ValueError(f"{self.formula} law overflows at depth "
+                             f"{depth}") from None
 
     @staticmethod
     def from_document(doc: dict) -> "WeightLaw":
@@ -132,66 +147,48 @@ class GraphGenerator:
             yield (x, y + 1)
             yield (x, y - 1)
 
-    def edge_depth(self, u: tuple, v: tuple) -> int:
-        return min(self.depth(u), self.depth(v))
-
 
 def truncate(gen: GraphGenerator, r: float,
              max_nodes: int = 100_000) -> WeightedGraph:
     """Induced subgraph on the open rho-ball of radius ``r`` at the root.
 
-    Edges leaving the ball are deleted (Dirichlet truncation).  Raises if
-    the ball exceeds ``max_nodes`` (possible for summable rho laws).
+    Nodes are ordered by depth, then by id: the root comes first, and the
+    nodes of a smaller ball are a prefix of those of a larger one.  Edges
+    leaving the ball are deleted (Dirichlet truncation).  Raises if the
+    ball exceeds ``max_nodes`` (possible for summable rho laws).
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    root = gen.root
-    dist = {root: 0.0}
-    heap = [(0.0, root)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done or d > dist[u]:
-            continue
-        done.add(u)
-        if len(done) > max_nodes:
-            raise ValueError(f"ball exceeds max_nodes={max_nodes}; "
-                             "radius too large for this rho law")
-        for v in gen.neighbors(u):
-            nd = d + gen.rho(gen.edge_depth(u, v))
-            if nd < r and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    members = sorted(done, key=lambda u: (dist[u], gen.node_id(u)))
-    node_recs = [(gen.node_id(u), gen.mu(gen.depth(u)),
-                  gen.kappa(gen.depth(u))) for u in members]
-    inside = set(members)
-    adj, seen = [], set()
-    for u in members:
-        for v in gen.neighbors(u):
-            if v in inside:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    ed = gen.edge_depth(u, v)
-                    adj.append((gen.node_id(u), gen.node_id(v),
-                                gen.rho(ed), gen.gamma(ed)))
+    # Every edge joins depth d to depth d + 1, so a depth-d node lies at
+    # rho-distance rho(0) + ... + rho(d - 1): the ball is whole levels.
+    levels, size, dist = [[gen.root]], 1, gen.rho(0)
+    while dist < r and size <= max_nodes:
+        d = len(levels)
+        levels.append(sorted({v for u in levels[-1] for v in gen.neighbors(u)
+                              if gen.depth(v) == d}, key=gen.node_id))
+        size += len(levels[-1])
+        dist += gen.rho(d)
+    if size > max_nodes:
+        raise ValueError(f"ball exceeds max_nodes={max_nodes}; "
+                         "radius too large for this rho law")
+    node_recs, adj = [], []
+    for d, level in enumerate(levels):
+        mu, kappa = gen.mu(d), gen.kappa(d)
+        node_recs += [(gen.node_id(u), mu, kappa) for u in level]
+    for d, level in enumerate(levels[:-1]):   # each edge from its shallower end
+        rho, gamma = gen.rho(d), gen.gamma(d)
+        adj += [(gen.node_id(u), gen.node_id(v), rho, gamma) for u in level
+                for v in gen.neighbors(u) if gen.depth(v) == d + 1]
     return from_data(node_recs, adj)
 
 
 def load_vector(gen: GraphGenerator, g: WeightedGraph,
                 f_law: WeightLaw) -> np.ndarray:
-    """Evaluate a load law on a truncation, by node depth."""
-    return np.array([f_law(gen.depth(_parse_id(gen, v))) for v in g.nodes])
-
-
-def _parse_id(gen: GraphGenerator, vid: str) -> tuple:
-    if gen.kind == "path":
-        return (int(vid),)
-    if gen.kind == "binary-tree":
-        return (vid[1:],)
-    x, y = vid.split(",")
-    return (int(x), int(y))
+    """Evaluate a load law on a truncation, by node depth (there, the hop
+    count from the root)."""
+    depth = shortest_path(_rho_matrix(g), unweighted=True, indices=g.node_index(
+        gen.node_id(gen.root))).astype(int)
+    return np.array([f_law(d) for d in range(depth.max() + 1)])[depth]
 
 
 @dataclass
@@ -216,10 +213,13 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     level 0).  Converged when the last increment and tail are below ``eps``.
     """
     radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
-        raise ValueError("radii must be nonempty and strictly increasing")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    # 0 < radii[0] < radii[1] < ... < inf, which NaN fails
+    if not radii or not all(a < b for a, b in zip([0.0, *radii],
+                                                  [*radii, math.inf])):
+        raise ValueError("radii must be nonempty, positive, finite and "
+                         f"strictly increasing: {radii}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite: {eps}")
     opts = options or SolverOptions()
     root_id = gen.node_id(gen.root)
 
@@ -227,30 +227,27 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     reports: list[SolveReport] = []
     increments: list[float] = []
     tails: list[float] = []
-    prev_g: WeightedGraph | None = None
-    prev_phi: np.ndarray | None = None
+    prev_phi = np.zeros(0)
     for i, r in enumerate(radii):
         g = truncate(gen, r, max_nodes=max_nodes)
         f = load_vector(gen, g, f_law)
-        warm = np.zeros(g.num_nodes)
-        if prev_g is not None:  # positions of the previous level's nodes
-            prev_at = [g.node_index(v) for v in prev_g.nodes]
-            warm[prev_at] = prev_phi
+        m = len(prev_phi)   # the previous level's nodes come first
+        warm = np.concatenate([prev_phi, np.zeros(g.num_nodes - m)])
         level_opts = dataclasses.replace(opts, initial=warm,
                                          with_certificates=False)
         rep = solve_elliptic(EllipticProblem(g, sp, f), level_opts)
+        if graphs:
+            diff = rep.phi[:m] - prev_phi
+            increments.append(sobolev_norms(graphs[-1], diff).w_hilbert)
         graphs.append(g)
         reports.append(rep)
-        if prev_g is not None:
-            diff = rep.phi[prev_at] - prev_phi
-            increments.append(sobolev_norms(prev_g, diff).w_hilbert)
         tail_r = radii[i - 1] if i > 0 else r / 2.0
         tails.append(embedding_diagnostics(g, root_id, tail_r,
                                            rep.phi).tail_mass)
         if not rep.converged:
             return ExhaustionReport(radii[:i + 1], reports, graphs,
                                     increments, tails, converged=False)
-        prev_g, prev_phi = g, rep.phi
+        prev_phi = rep.phi
     converged = (len(increments) >= 1 and increments[-1] < eps
                  and tails[-1] < eps)
     return ExhaustionReport(radii, reports, graphs, increments, tails,

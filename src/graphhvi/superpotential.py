@@ -168,7 +168,7 @@ class Superpotential:
         return float(np.max(np.maximum(np.abs(lo), np.abs(hi)), initial=0.0))
 
     def derivative_bound(self, r: float) -> float:
-        """sup over [-r, r] of |beta'|, for Picard contraction constants."""
+        """sup over [-r, r] of |beta'|, one-sided limits at breakpoints."""
         der = PiecewiseDensity(self.density.breakpoints,
                                tuple(P.polyder(c) for c in self.density.pieces))
         cand = _extremum_candidates(der, r)
@@ -210,9 +210,11 @@ def directional_derivative(sp: Superpotential, s: float, d: float) -> float:
 
 
 def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
-    coef = np.trim_zeros(np.atleast_1d(coef), "b")
-    if len(coef) < 2:
-        return np.empty(0)
+    coef = np.atleast_1d(coef)
+    # drop leading coefficients that are 0 or so tiny the companion overflows
+    with np.errstate(all="ignore"):
+        while len(coef) > 1 and not np.all(np.isfinite(coef[:-1] / coef[-1])):
+            coef = coef[:-1]
     roots = P.polyroots(coef)
     roots = roots[np.abs(roots.imag) < 1e-10].real
     return roots[(roots > a) & (roots < b)]

@@ -277,6 +277,15 @@ class TestSolveParabolic:
         assert code == 2
 
 
+EXHAUST_DOC = {
+    "kind": "lattice-2d",
+    "weights": {w: {"formula": "constant", "value": 1.0}
+                for w in ("mu", "rho", "gamma", "kappa")},
+    "f": {"formula": "root-only", "value": 1.0},
+    "superpotential": ABS_SP,
+}
+
+
 class TestExhaust:
     def test_path_study(self, tmp_path, capsys):
         gen_path = write(tmp_path / "gen.json", {
@@ -319,3 +328,35 @@ class TestExhaust:
         code, _, err = run(["exhaust", "--generator", gen_path,
                             "--radii", "2;4"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("law", [
+        pytest.param({"formula": "constant", "value": {}}, id="object"),
+        pytest.param({"formula": "constant", "value": True}, id="bool"),
+        pytest.param({"formula": "geometric-in-depth", "value": 1.0},
+                     id="missing-ratio"),
+        pytest.param({"formula": "constant", "value": 1.0, "ratio": 0.5},
+                     id="extra-ratio"),
+        pytest.param({"formula": "mystery", "value": 1.0}, id="unknown"),
+    ])
+    @pytest.mark.parametrize("slot", ["mu", "f"])
+    def test_malformed_weight_law(self, tmp_path, capsys, law, slot):
+        doc = dict(EXHAUST_DOC, weights=dict(EXHAUST_DOC["weights"]))
+        if slot == "f":
+            doc["f"] = law
+        else:
+            doc["weights"][slot] = law
+        gen_path = write(tmp_path / "gen.json", doc)
+        code, _, err = run(["exhaust", "--generator", gen_path,
+                            "--radii", "2,4"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--radii=nan", "--radii=2,nan",
+                                        "--radii=2,inf", "--radii=-1,2",
+                                        "--eps=nan", "--eps=inf"])
+    def test_non_finite_radii_or_eps(self, tmp_path, capsys, option):
+        gen_path = write(tmp_path / "gen.json", EXHAUST_DOC)
+        code, _, err = run(["exhaust", "--generator", gen_path, option],
+                           capsys)
+        assert code == 2
+        assert "radii" in err or "eps" in err

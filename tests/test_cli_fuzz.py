@@ -1,10 +1,11 @@
 """Hypothesis fuzz of the command-line exit-code contract.
 
-A generated graph and problem document is valid, or malformed in one slot:
-a number replaced by an object, a list, NaN, an infinity, a bool, a string
-or null, a section replaced by a non-section, or an unknown key.
-``cli.main`` must return 0 or 1 for a valid document and 2 for a malformed
-one, and never raise.
+A generated graph and problem document (``solve-elliptic``), or generator
+document (``exhaust``), is valid, or malformed in one slot: a number
+replaced by an object, a list, NaN, an infinity, a bool, a string or null,
+a section replaced by a non-section, an unknown or missing key, or an
+unknown formula or kind.  ``cli.main`` must return 0 or 1 for a valid
+document and 2 for a malformed one, and never raise.
 """
 
 import json
@@ -22,14 +23,29 @@ NOT_NUMBERS = [{}, {"x": 1.0}, [], [1.0], math.nan, math.inf, -math.inf,
 NOT_SECTIONS = [{"x": 1.0}, math.nan, math.inf, True, "1.0", None, 2.0]
 
 
+def _parent(docs, path):
+    for k in path[:-1]:
+        docs = docs[k]
+    return docs
+
+
 def _set(path, value):
     def apply(docs):
-        *keys, last = path
-        obj = docs
-        for k in keys:
-            obj = obj[k]
-        obj[last] = value
+        _parent(docs, path)[path[-1]] = value
     return apply
+
+
+def _delete(path):
+    def apply(docs):
+        del _parent(docs, path)[path[-1]]
+    return apply
+
+
+def _density(draw):
+    bps = sorted(set(draw(st.lists(st.floats(-2, 2), max_size=2))))
+    pieces = [draw(st.lists(st.floats(-10, 10), min_size=1, max_size=3))
+              for _ in range(len(bps) + 1)]
+    return {"breakpoints": bps, "pieces": pieces}
 
 
 @st.composite
@@ -43,11 +59,9 @@ def cases(draw):
              "adjacencies": [{"a": ids[i], "b": ids[i + 1],
                               "rho": draw(weight), "gamma": draw(weight)}
                              for i in range(n - 1)]}
-    bps = sorted(set(draw(st.lists(st.floats(-2, 2), max_size=2))))
-    pieces = [draw(st.lists(st.floats(-10, 10), min_size=1, max_size=3))
-              for _ in range(len(bps) + 1)]
+    density = _density(draw)
     problem = {"graph": "graph.json",
-               "superpotential": {"breakpoints": bps, "pieces": pieces},
+               "superpotential": density,
                "f": {v: draw(st.floats(-100, 100)) for v in ids},
                "solver": {"tol": draw(st.floats(1e-12, 1.0)),
                           "max_inner": draw(st.integers(0, 50))}}
@@ -75,7 +89,7 @@ def cases(draw):
         slots.append(_set(("graph", "adjacencies", 0,
                            draw(st.sampled_from(["rho", "gamma"]))),
                           draw(bad)))
-    if bps:
+    if density["breakpoints"]:
         slots.append(_set(("problem", "superpotential", "breakpoints", 0),
                           draw(bad)))
     choice = draw(st.integers(-1, len(slots) - 1))
@@ -94,6 +108,83 @@ def test_exit_code_contract(case):
                 json.dump(doc, fh)
         code = main(["solve-elliptic", "--problem",
                      os.path.join(root, "problem.json"),
+                     "--out", os.path.join(root, "report.json")])
+    if malformed:
+        assert code == 2
+    else:
+        assert code in (0, 1)
+
+
+# parameter ranges that keep every ball of radius 2 small (at most 127 nodes)
+LAW_PARAMS = {"constant": {},
+              "geometric-in-depth": {"ratio": st.floats(0.9, 1.1)},
+              "power-in-depth": {"exponent": st.floats(-0.5, 0.5)}}
+
+
+def _law(draw, formulas):
+    formula = draw(st.sampled_from(formulas))
+    extra = LAW_PARAMS.get(formula, {})
+    return {"formula": formula, "value": draw(st.floats(0.5, 2.0)),
+            **{k: draw(v) for k, v in extra.items()}}
+
+
+@st.composite
+def generator_cases(draw):
+    """(generator document, CLI args, malformed) with at most one
+    malformed slot."""
+    weights = {w: _law(draw, sorted(LAW_PARAMS))
+               for w in ("mu", "rho", "gamma", "kappa")}
+    doc = {"kind": draw(st.sampled_from(["path", "binary-tree",
+                                         "lattice-2d"])),
+           "weights": weights,
+           "f": _law(draw, sorted(LAW_PARAMS) + ["root-only"]),
+           "superpotential": _density(draw)}
+    args = {"radii": draw(st.sampled_from(["1,2", "0.5,1.5,2", "2"])),
+            "eps": "1e-6"}
+    docs = {"doc": doc, "args": args}
+
+    bad = st.sampled_from(NOT_NUMBERS)
+    name = draw(st.sampled_from(["mu", "rho", "gamma", "kappa"]))
+    law = ("doc", "weights", name)
+    param = draw(st.sampled_from(sorted(set(weights[name]) - {"formula"})))
+    f_param = draw(st.sampled_from(sorted(set(doc["f"]) - {"formula"})))
+    not_formula = draw(st.sampled_from(["mystery", [], {}, None, 1.0]))
+    slots = [
+        _set((*law, param), draw(bad)),
+        _set(("doc", "f", f_param), draw(bad)),
+        _delete((*law, param)),
+        _delete(("doc", "f", "value")),
+        _set((*law, draw(st.sampled_from(sorted(
+            {"ratio", "exponent", "scale"} - set(weights[name]))))), 1.0),
+        _set(("doc", "f", "scale"), 1.0),
+        _set((*law, "formula"), not_formula),
+        _set(("doc", "f", "formula"), not_formula),
+        _set((*law, "formula"), "root-only"),
+        _set((*law, "value"), draw(st.sampled_from([0.0, -1.0]))),
+        _set(law, draw(st.sampled_from(NOT_SECTIONS))),
+        _set(("doc", "kind"), draw(st.sampled_from(["hexagon", None, [],
+                                                     1.0]))),
+        _set(("args", "radii"), draw(st.sampled_from(
+            ["nan", "2,nan", "inf", "0,1", "-1,2", "2,1", "2;4"]))),
+        _set(("args", "eps"), draw(st.sampled_from(["nan", "inf", "0",
+                                                    "-1e-6"]))),
+    ]
+    choice = draw(st.integers(-1, len(slots) - 1))
+    if choice >= 0:
+        slots[choice](docs)
+    return doc, args, choice >= 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(generator_cases())
+def test_exhaust_exit_code_contract(case):
+    doc, args, malformed = case
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "generator.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["exhaust", "--generator", path,
+                     f"--radii={args['radii']}", f"--eps={args['eps']}",
                      "--out", os.path.join(root, "report.json")])
     if malformed:
         assert code == 2

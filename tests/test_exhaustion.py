@@ -1,5 +1,8 @@
 """Generators, weight laws, ball truncation, and the exhaustion driver."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ import graphhvi as gh
 from graphhvi.exhaustion import (GraphGenerator, WeightLaw, exhaust,
                                  generator_from_document, load_vector,
                                  truncate)
+from graphhvi.graphs import distances_from
 
 from conftest import abs_density, quad_density, zero_density
 
@@ -44,6 +48,41 @@ class TestWeightLaw:
         assert law(2) == 4.0
         with pytest.raises(ValueError, match="malformed"):
             WeightLaw.from_document({"value": 4.0})
+
+    @pytest.mark.parametrize("formula, params", [
+        pytest.param("constant", {"value": {}}, id="object"),
+        pytest.param("constant", {"value": [1.0]}, id="list"),
+        pytest.param("constant", {"value": True}, id="bool"),
+        pytest.param("constant", {"value": "1.0"}, id="string"),
+        pytest.param("constant", {"value": None}, id="null"),
+        pytest.param("constant", {"value": math.nan}, id="nan"),
+        pytest.param("constant", {"value": math.inf}, id="inf"),
+        pytest.param("power-in-depth", {"value": 1.0, "exponent": -math.inf},
+                     id="minus-inf"),
+        pytest.param("constant", {"value": 10 ** 400}, id="huge-int"),
+        pytest.param("constant", {"value": 1.0, "ratio": 0.5},
+                     id="extra-param"),
+        pytest.param("constant", {}, id="no-params"),
+        pytest.param("geometric-in-depth", {"value": 1.0},
+                     id="missing-param"),
+        pytest.param("power-in-depth", {"value": 1.0, "ratio": 2.0},
+                     id="wrong-param"),
+        pytest.param(None, {"value": 1.0}, id="null-formula"),
+        pytest.param(["constant"], {"value": 1.0}, id="list-formula"),
+    ])
+    def test_parameter_validation(self, formula, params):
+        with pytest.raises(ValueError):
+            WeightLaw(formula, params)
+
+    def test_integer_parameters(self):
+        law = WeightLaw("geometric-in-depth", {"value": 3, "ratio": 2})
+        assert law(4) == 48.0
+
+    def test_overflow_is_value_error(self):
+        law = WeightLaw("geometric-in-depth", {"value": 1.0, "ratio": 10.0})
+        assert law(300) == 1e300
+        with pytest.raises(ValueError, match="overflows at depth 400"):
+            law(400)
 
 
 class TestGenerator:
@@ -120,6 +159,85 @@ class TestTruncate:
         np.testing.assert_allclose(f, [2.0, 0.0, 0.0, 0.0])
 
 
+KINDS = ("path", "binary-tree", "lattice-2d")
+RHO_LAWS = {
+    "constant": constant(1.0),
+    "geometric": WeightLaw("geometric-in-depth", {"value": 0.5,
+                                                  "ratio": 1.25}),
+    "power": WeightLaw("power-in-depth", {"value": 1.0, "exponent": -0.5}),
+}
+RADII = (0.5, 1.0, 2.0, 2.5, 3.2, 4.4, 5.5)
+BIG_R = 6.0
+
+
+def depth_generator(kind, rho):
+    return GraphGenerator(
+        kind=kind, rho=rho,
+        mu=WeightLaw("geometric-in-depth", {"value": 1.0, "ratio": 0.5}),
+        gamma=WeightLaw("power-in-depth", {"value": 2.0, "exponent": -1.0}),
+        kappa=constant(0.5))
+
+
+def node_tuples(kind, max_depth):
+    """Every node of the generator family up to ``max_depth``, as tuples."""
+    if kind == "path":
+        return [(d,) for d in range(max_depth + 1)]
+    if kind == "binary-tree":
+        return [("".join(w),) for d in range(max_depth + 1)
+                for w in itertools.product("01", repeat=d)]
+    return [(x, y) for x in range(-max_depth, max_depth + 1)
+            for y in range(-max_depth, max_depth + 1)
+            if abs(x) + abs(y) <= max_depth]
+
+
+def edge_set(g, keep=None):
+    """Directed edges as (src id, dst id, rho, gamma), both ends in keep."""
+    return {(g.nodes[a], g.nodes[b], r, c) for a, b, r, c in
+            zip(g.edge_src, g.edge_dst, g.rho.tolist(), g.gamma.tolist())
+            if keep is None or (g.nodes[a] in keep and g.nodes[b] in keep)}
+
+
+class TestTruncateOracle:
+    """``truncate`` against scipy's Dijkstra on a larger truncation."""
+
+    @pytest.mark.parametrize("law", sorted(RHO_LAWS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ball_order_and_induced_edges(self, kind, law):
+        gen = depth_generator(kind, RHO_LAWS[law])
+        big = truncate(gen, BIG_R)
+        root = gen.node_id(gen.root)
+        dist = dict(zip(big.nodes, distances_from(big, root)))
+        for r in RADII:
+            g = truncate(gen, r)
+            inside = gh.ball(big, root, r)
+            assert g.nodes == tuple(sorted(inside,
+                                           key=lambda v: (dist[v], v)))
+            assert len(edge_set(g)) == g.num_edges
+            assert edge_set(g) == edge_set(big, inside)
+
+    @pytest.mark.parametrize("law", sorted(RHO_LAWS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nested_prefixes(self, kind, law):
+        gen = depth_generator(kind, RHO_LAWS[law])
+        nodes = [truncate(gen, r).nodes for r in RADII]
+        for small, large in zip(nodes, nodes[1:]):
+            assert large[:len(small)] == small
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_vector_by_depth(self, kind):
+        gen = depth_generator(kind, RHO_LAWS["power"])
+        g = truncate(gen, 4.4)
+        tuples = {gen.node_id(u): u for u in node_tuples(kind, 8)}
+        assert set(g.nodes) <= set(tuples)
+        for f_law in (WeightLaw("root-only", {"value": 2.0}),
+                      WeightLaw("geometric-in-depth", {"value": 1.5,
+                                                       "ratio": 0.7}),
+                      WeightLaw("power-in-depth", {"value": -1.0,
+                                                   "exponent": 0.5})):
+            expected = [f_law(gen.depth(tuples[v])) for v in g.nodes]
+            assert load_vector(gen, g, f_law).tolist() == expected
+
+
 class TestExhaust:
     def test_path_linear_convergence(self):
         gen = path_generator(mu=WeightLaw("geometric-in-depth",
@@ -160,6 +278,25 @@ class TestExhaust:
             exhaust(gen, sp, f, [], 1e-6)
         with pytest.raises(ValueError, match="eps"):
             exhaust(gen, sp, f, [2, 4], 0.0)
+        for radii in ([math.nan], [2, math.nan], [math.inf], [2, math.inf],
+                      [0, 2], [-1, 2]):
+            with pytest.raises(ValueError, match="radii"):
+                exhaust(gen, sp, f, radii, 1e-6)
+        for eps in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="eps"):
+                exhaust(gen, sp, f, [2, 4], eps)
+
+    def test_increments_align_by_node_id(self):
+        # each increment compares consecutive solutions node by node
+        gen = path_generator(mu=WeightLaw("geometric-in-depth",
+                                          {"value": 1.0, "ratio": 0.5}))
+        rep = exhaust(gen, abs_density(0.3), constant(1.0), [2, 4, 8], 1e-4)
+        for i, (small, large) in enumerate(zip(rep.graphs, rep.graphs[1:])):
+            table = gh.node_table(large, rep.solutions[i + 1].phi)
+            diff = np.array([table[v] for v in small.nodes])
+            diff -= rep.solutions[i].phi
+            assert rep.increments[i] == gh.sobolev_norms(small,
+                                                         diff).w_hilbert
 
 
 class TestDocuments:

@@ -222,6 +222,14 @@ class TestGrowthCertificate:
         with pytest.raises(ValueError):
             growth_certificate(abs_density(), 0.0)
 
+    def test_subnormal_leading_coefficient(self):
+        # the companion matrix of (1 + s) p' - p on the right piece overflows
+        sp = build(PiecewiseDensity((0.0,), ([0.0],
+                                             [0.0, 1.0, 2.2250738585e-313])))
+        gc = growth_certificate(sp, 2.0)
+        assert gc.alpha_j == pytest.approx(2.0 / 3.0)
+        assert sp.lipschitz_bound(2.0) == pytest.approx(2.0)
+
 
 class TestRelaxedMonotonicity:
     def test_convex_densities_are_zero(self):
