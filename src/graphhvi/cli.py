@@ -27,13 +27,24 @@ class InputError(ValueError):
 
 
 def _load_json(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"file not found: {path}")
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _load_graph(base: str, name: str):
+    """The graph file ``name``, relative to ``base``; read and format errors
+    become :class:`InputError`."""
+    try:
+        return load_graph(os.path.join(base, name))
+    except OSError as exc:
+        raise InputError(f"{name}: cannot read ({exc.strerror})") from exc
+    except GraphFormatError as exc:
+        raise InputError(f"{name}: {exc}") from exc
 
 
 def _load_superpotential(doc, base_dir: str):
@@ -73,10 +84,7 @@ def load_problem(path: str):
             raise InputError(f"{path}: missing required key {key!r}")
     if not isinstance(doc["graph"], str):
         raise InputError(f"{path}: 'graph' must be a file name")
-    try:
-        g = load_graph(os.path.join(base, doc["graph"]))
-    except GraphFormatError as exc:
-        raise InputError(f"{doc['graph']}: {exc}") from exc
+    g = _load_graph(base, doc["graph"])
     sp = _load_superpotential(doc["superpotential"], base)
     try:
         f = node_function(g, doc["f"])
@@ -138,7 +146,7 @@ def _apply_overrides(opts, args):
 
 
 def cmd_validate(args) -> int:
-    g = load_graph(args.graph)
+    g = _load_graph("", args.graph)
     _emit(reports.validate_report_dict(g), args, "graph validation")
     return 0
 

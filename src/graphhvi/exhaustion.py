@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .calculus import embedding_diagnostics, sobolev_norms
-from .graphs import WeightedGraph, _real, _rho_matrix, from_data
+from .graphs import GraphFormatError, WeightedGraph, _finite, _rho_matrix
 from .solvers import EllipticProblem, SolveReport, SolverOptions, solve_elliptic
 from .superpotential import Superpotential
 
@@ -64,7 +64,7 @@ class WeightLaw:
             raise ValueError(f"formula {self.formula!r} takes exactly the "
                              f"parameters {list(names)}, not {self.params!r}")
         for name, value in self.params.items():
-            if not (_real(value) and abs(value) <= sys.float_info.max):
+            if not _finite(value):
                 raise ValueError(f"{self.formula} parameter {name!r} must be "
                                  f"a finite number, not {value!r}")
 
@@ -128,24 +128,33 @@ class GraphGenerator:
             return "r" + node[0]
         return f"{node[0]},{node[1]}"
 
-    def neighbors(self, node: tuple):
+    def children(self, node: tuple):
+        """The neighbours of ``node`` one level deeper, in a fixed order."""
         if self.kind == "path":
-            (d,) = node
-            if d > 0:
-                yield (d - 1,)
-            yield (d + 1,)
+            yield (node[0] + 1,)
         elif self.kind == "binary-tree":
-            (word,) = node
-            if word:
-                yield (word[:-1],)
-            yield (word + "0",)
-            yield (word + "1",)
+            yield (node[0] + "0",)
+            yield (node[0] + "1",)
         else:
             x, y = node
-            yield (x + 1, y)
-            yield (x - 1, y)
-            yield (x, y + 1)
-            yield (x, y - 1)
+            if x >= 0:
+                yield (x + 1, y)
+            if x <= 0:
+                yield (x - 1, y)
+            if y >= 0:
+                yield (x, y + 1)
+            if y <= 0:
+                yield (x, y - 1)
+
+
+def _depth_weights(gen: GraphGenerator, name: str, n: int) -> np.ndarray:
+    """Weight law ``name`` at depths 0 .. n - 1, each finite and positive."""
+    values = [getattr(gen, name)(d) for d in range(n)]
+    for d, x in enumerate(values):
+        if not 0 < x <= sys.float_info.max:
+            raise GraphFormatError(f"non-positive or non-finite {name} at "
+                                   f"depth {d}: {x!r}")
+    return np.array(values)
 
 
 def truncate(gen: GraphGenerator, r: float,
@@ -155,31 +164,41 @@ def truncate(gen: GraphGenerator, r: float,
     Nodes are ordered by depth, then by id: the root comes first, and the
     nodes of a smaller ball are a prefix of those of a larger one.  Edges
     leaving the ball are deleted (Dirichlet truncation).  Raises if the
-    ball exceeds ``max_nodes`` (possible for summable rho laws).
+    ball exceeds ``max_nodes`` (possible for summable rho laws) or a weight
+    in it is not finite and positive.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     # Every edge joins depth d to depth d + 1, so a depth-d node lies at
     # rho-distance rho(0) + ... + rho(d - 1): the ball is whole levels.
-    levels, size, dist = [[gen.root]], 1, gen.rho(0)
-    while dist < r and size <= max_nodes:
-        d = len(levels)
-        levels.append(sorted({v for u in levels[-1] for v in gen.neighbors(u)
-                              if gen.depth(v) == d}, key=gen.node_id))
-        size += len(levels[-1])
-        dist += gen.rho(d)
-    if size > max_nodes:
+    level, ids, sizes = [gen.root], [gen.node_id(gen.root)], [1]
+    src, dst, dist = [], [], gen.rho(0)
+    while dist < r and len(ids) <= max_nodes:
+        kids = [list(gen.children(u)) for u in level]
+        pairs = sorted((gen.node_id(v), v)
+                       for v in {v for vs in kids for v in vs})
+        index = {v: i for i, (_, v) in enumerate(pairs, len(ids))}
+        src += [i for i, vs in enumerate(kids, len(ids) - len(level))
+                for _ in vs]
+        dst += [index[v] for vs in kids for v in vs]
+        level = [v for _, v in pairs]
+        ids += [vid for vid, _ in pairs]
+        sizes.append(len(level))
+        dist += gen.rho(len(sizes) - 1)
+    if len(ids) > max_nodes:
         raise ValueError(f"ball exceeds max_nodes={max_nodes}; "
                          "radius too large for this rho law")
-    node_recs, adj = [], []
-    for d, level in enumerate(levels):
-        mu, kappa = gen.mu(d), gen.kappa(d)
-        node_recs += [(gen.node_id(u), mu, kappa) for u in level]
-    for d, level in enumerate(levels[:-1]):   # each edge from its shallower end
-        rho, gamma = gen.rho(d), gen.gamma(d)
-        adj += [(gen.node_id(u), gen.node_id(v), rho, gamma) for u in level
-                for v in gen.neighbors(u) if gen.depth(v) == d + 1]
-    return from_data(node_recs, adj)
+    n = len(sizes)
+    node_depth = np.repeat(range(n), sizes)
+    mu, kappa = (_depth_weights(gen, w, n)[node_depth]
+                 for w in ("mu", "kappa"))
+    # each adjacency (shallower, deeper) in both orientations, consecutively
+    a, b = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    rho, gamma = (np.repeat(_depth_weights(gen, w, n - 1)[node_depth[a]], 2)
+                  for w in ("rho", "gamma"))
+    return WeightedGraph(tuple(ids), mu, kappa,
+                         np.column_stack([a, b]).ravel(),
+                         np.column_stack([b, a]).ravel(), rho, gamma)
 
 
 def load_vector(gen: GraphGenerator, g: WeightedGraph,

@@ -84,6 +84,11 @@ def _real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _finite(x) -> bool:
+    """A finite real number that is not a bool."""
+    return _real(x) and abs(x) <= sys.float_info.max
+
+
 def _weight(x, name: str, rec) -> float:
     """A weight as a float, if it is a finite positive number (not a bool)."""
     if _real(x) and 0 < x <= sys.float_info.max:
@@ -96,8 +101,9 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
     """Build a graph from ``(id, mu, kappa)`` and ``(a, b, rho, gamma)`` records.
 
     Each undirected adjacency must appear exactly once; both orientations
-    are materialized.  Raises :class:`GraphFormatError` on duplicate ids,
-    self-loops, non-positive or non-finite weights or unknown node references.
+    are materialized.  Raises :class:`GraphFormatError` on an empty node
+    list, duplicate ids, self-loops, non-positive or non-finite weights or
+    unknown node references.
     """
     ids, mu, kappa = [], [], []
     seen = set()
@@ -109,6 +115,8 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
         ids.append(str(vid))
         mu.append(_weight(m, "measure", rec))
         kappa.append(_weight(k, "kappa", rec))
+    if not ids:
+        raise GraphFormatError("graph has no nodes")
     index = {v: i for i, v in enumerate(ids)}
 
     src, dst, rho, gamma = [], [], [], []

@@ -66,6 +66,12 @@ class ParabolicProblem:
         elif f.shape != (self.steps, n):
             raise ValueError(f"f table must have shape ({self.steps}, {n})")
         object.__setattr__(self, "f", f)
+        tau = self.T / self.steps   # as solve_parabolic computes it
+        with np.errstate(over="ignore", divide="ignore"):
+            step_kappa = self.graph.kappa + self.graph.mu / tau
+        if not np.all(np.isfinite(step_kappa)):
+            raise ValueError(f"time step T / steps = {tau!r} is too small: "
+                             "kappa + mu * steps / T is not finite")
 
     def sp_at(self, t: float) -> Superpotential:
         if isinstance(self.sp, SuperpotentialSchedule):

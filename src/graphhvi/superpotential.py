@@ -17,7 +17,7 @@ from itertools import zip_longest
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .graphs import _real
+from .graphs import _finite, _real
 
 
 def _table(polys) -> np.ndarray:
@@ -384,7 +384,7 @@ def schedule_from_document(entries: list) -> SuperpotentialSchedule:
     untils, sps = [], []
     for rec in entries:
         if (not isinstance(rec, dict) or set(rec) != {"until", "density"}
-                or not _real(rec["until"])):
+                or not _finite(rec["until"])):
             raise ValueError(f"malformed schedule entry: {rec!r}")
         untils.append(float(rec["until"]))
         sps.append(from_document(rec["density"]))

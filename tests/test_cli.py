@@ -76,6 +76,18 @@ class TestValidate:
         code, _, err = run(["validate", "--graph", str(path)], capsys)
         assert code == 2
 
+    def test_directory_as_graph(self, tmp_path, capsys):
+        code, _, err = run(["validate", "--graph", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "Is a directory" in err
+
+    def test_empty_graph(self, tmp_path, capsys):
+        path = write(tmp_path / "empty.json", {"nodes": [],
+                                               "adjacencies": []})
+        code, _, err = run(["validate", "--graph", path], capsys)
+        assert code == 2
+        assert "graph has no nodes" in err
+
 
 class TestSolveElliptic:
     def test_soft_threshold_solution(self, workspace, capsys):
@@ -197,6 +209,19 @@ class TestSolveElliptic:
         assert code == 2
         assert "error:" in err
 
+    def test_directory_as_input(self, workspace, capsys):
+        (workspace / "graphs").mkdir()
+        path = write(workspace / "dir-graph.json", {
+            "graph": "graphs",
+            "superpotential": ABS_SP,
+            "f": {"v": 1.0},
+        })
+        for problem in (str(workspace), path):
+            code, _, err = run(["solve-elliptic", "--problem", problem],
+                               capsys)
+            assert code == 2
+            assert err.startswith("error:") and "Is a directory" in err
+
     def test_tol_override(self, workspace, capsys):
         code, out, _ = run(["solve-elliptic", "--problem",
                             str(workspace / "problem.json"),
@@ -264,6 +289,8 @@ class TestSolveParabolic:
         ("T", {}), ("T", True), ("steps", 8.5), ("steps", "8"),
         ("f_table", {"v": 1.0}), ("sp_schedule", 3),
         ("sp_schedule", [{"until": {}, "density": QUAD_SP}]),
+        ("sp_schedule", [{"until": math.nan, "density": QUAD_SP}]),
+        ("T", 1e-320),
     ])
     def test_malformed_fields(self, workspace, capsys, key, value):
         path = self.problem(workspace, **{key: value})
@@ -350,6 +377,28 @@ class TestExhaust:
                             "--radii", "2,4"], capsys)
         assert code == 2
         assert "Traceback" not in err
+
+    def test_directory_as_generator(self, tmp_path, capsys):
+        code, _, err = run(["exhaust", "--generator", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "Is a directory" in err
+
+    @pytest.mark.parametrize("weight, law, radii, message", [
+        ("mu", {"formula": "geometric-in-depth", "value": 1.0, "ratio": 0.5},
+         "4,1100", "mu at depth 1075: 0.0"),
+        ("gamma", {"formula": "geometric-in-depth", "value": 1e300,
+                   "ratio": 10.0}, "4,12", "gamma at depth 9: inf"),
+    ], ids=["mu-underflow", "gamma-overflow"])
+    def test_weight_not_finite_positive_at_depth(self, tmp_path, capsys,
+                                                 weight, law, radii,
+                                                 message):
+        doc = dict(EXHAUST_DOC, kind="path",
+                   weights=dict(EXHAUST_DOC["weights"], **{weight: law}))
+        gen_path = write(tmp_path / "gen.json", doc)
+        code, _, err = run(["exhaust", "--generator", gen_path,
+                            "--radii", radii], capsys)
+        assert code == 2
+        assert err == f"error: non-positive or non-finite {message}\n"
 
     @pytest.mark.parametrize("option", ["--radii=nan", "--radii=2,nan",
                                         "--radii=2,inf", "--radii=-1,2",

@@ -1,11 +1,13 @@
 """Hypothesis fuzz of the command-line exit-code contract.
 
-A generated graph and problem document (``solve-elliptic``), or generator
+A generated graph and problem document (``solve-elliptic``), problem
+document with a parabolic section (``solve-parabolic``), or generator
 document (``exhaust``), is valid, or malformed in one slot: a number
 replaced by an object, a list, NaN, an infinity, a bool, a string or null,
-a section replaced by a non-section, an unknown or missing key, or an
-unknown formula or kind.  ``cli.main`` must return 0 or 1 for a valid
-document and 2 for a malformed one, and never raise.
+a section replaced by a non-section, an unknown or missing key, an
+unknown formula or kind, or a parabolic time step too small for the
+graph.  ``cli.main`` must return 0 or 1 for a valid document and 2 for a
+malformed one, and never raise.
 """
 
 import json
@@ -48,9 +50,8 @@ def _density(draw):
     return {"breakpoints": bps, "pieces": pieces}
 
 
-@st.composite
-def cases(draw):
-    """(graph, problem, malformed) with at most one malformed slot."""
+def _graph(draw):
+    """(node ids, graph document): a path of 1 to 3 nodes."""
     n = draw(st.integers(1, 3))
     ids = [f"v{i}" for i in range(n)]
     weight = st.floats(1e-3, 1e3)
@@ -59,6 +60,24 @@ def cases(draw):
              "adjacencies": [{"a": ids[i], "b": ids[i + 1],
                               "rho": draw(weight), "gamma": draw(weight)}
                              for i in range(n - 1)]}
+    return ids, graph
+
+
+def _run(command, graph, problem, root):
+    """Write ``graph.json`` and ``problem.json`` under ``root`` and run
+    ``command`` on the problem."""
+    for name, doc in (("graph.json", graph), ("problem.json", problem)):
+        with open(os.path.join(root, name), "w") as fh:
+            json.dump(doc, fh)
+    return main([command, "--problem", os.path.join(root, "problem.json"),
+                 "--out", os.path.join(root, "report.json")])
+
+
+@st.composite
+def cases(draw):
+    """(graph, problem, malformed) with at most one malformed slot."""
+    ids, graph = _graph(draw)
+    n = len(ids)
     density = _density(draw)
     problem = {"graph": "graph.json",
                "superpotential": density,
@@ -103,12 +122,75 @@ def cases(draw):
 def test_exit_code_contract(case):
     graph, problem, malformed = case
     with tempfile.TemporaryDirectory() as root:
-        for name, doc in (("graph.json", graph), ("problem.json", problem)):
-            with open(os.path.join(root, name), "w") as fh:
-                json.dump(doc, fh)
-        code = main(["solve-elliptic", "--problem",
-                     os.path.join(root, "problem.json"),
-                     "--out", os.path.join(root, "report.json")])
+        code = _run("solve-elliptic", graph, problem, root)
+    if malformed:
+        assert code == 2
+    else:
+        assert code in (0, 1)
+
+
+@st.composite
+def parabolic_cases(draw):
+    """(graph, problem, malformed) for ``solve-parabolic``, with at most
+    one malformed slot in the parabolic section."""
+    ids, graph = _graph(draw)
+    steps = draw(st.integers(1, 4))
+    node_map = st.fixed_dictionaries({v: st.floats(-10, 10) for v in ids})
+    parabolic = {"T": draw(st.floats(1e-3, 10.0)), "steps": steps,
+                 "phi0": draw(node_map)}
+    if draw(st.booleans()):
+        parabolic["f_table"] = [draw(node_map) for _ in range(steps)]
+    if draw(st.booleans()):
+        parabolic["sp_schedule"] = [
+            {"until": 0.5, "density": _density(draw)},
+            {"until": 1.0, "density": _density(draw)}]
+    problem = {"graph": "graph.json", "superpotential": _density(draw),
+               "f": draw(node_map), "parabolic": parabolic}
+    docs = {"problem": problem}
+
+    bad = st.sampled_from(NOT_NUMBERS)
+    section = st.sampled_from(NOT_SECTIONS)
+    par = ("problem", "parabolic")
+    slots = [
+        # 1e-320 / steps is a step so small that mu / tau overflows
+        _set((*par, "T"), draw(st.sampled_from(NOT_NUMBERS
+                                               + [0.0, -1.0, 1e-320]))),
+        _set((*par, "steps"), draw(st.sampled_from(NOT_NUMBERS
+                                                   + [0, -1, 1.5]))),
+        _set((*par, "phi0", ids[-1]), draw(bad)),
+        _set((*par, "phi0", "ghost"), 1.0),
+        _set((*par, "phi0"), draw(section)),
+        _delete((*par, draw(st.sampled_from(["T", "steps", "phi0"])))),
+        _set((*par, "dt"), 0.1),
+        _set((*par, "f_table"), draw(section)),
+        _set((*par, "f_table"), [dict.fromkeys(ids, 1.0)] * (steps + 1)),
+        _set((*par, "sp_schedule"), draw(st.sampled_from(NOT_SECTIONS
+                                                         + [[]]))),
+        _set(par, draw(section)),
+    ]
+    if "f_table" in parabolic:
+        row = draw(st.integers(0, steps - 1))
+        slots += [_set((*par, "f_table", row, ids[0]), draw(bad)),
+                  _set((*par, "f_table", row), draw(section))]
+    if "sp_schedule" in parabolic:
+        entry = (*par, "sp_schedule", draw(st.integers(0, 1)))
+        slots += [_set((*entry, "until"), draw(bad)),
+                  _set((*par, "sp_schedule", 1, "until"), 0.25),
+                  _set((*entry, "density", "pieces", 0, 0), draw(bad)),
+                  _set((*entry, "density"), draw(section)),
+                  _set((*entry, "scale"), 1.0)]
+    choice = draw(st.integers(-1, len(slots) - 1))
+    if choice >= 0:
+        slots[choice](docs)
+    return graph, problem, choice >= 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(parabolic_cases())
+def test_parabolic_exit_code_contract(case):
+    graph, problem, malformed = case
+    with tempfile.TemporaryDirectory() as root:
+        code = _run("solve-parabolic", graph, problem, root)
     if malformed:
         assert code == 2
     else:

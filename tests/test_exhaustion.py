@@ -10,7 +10,7 @@ import graphhvi as gh
 from graphhvi.exhaustion import (GraphGenerator, WeightLaw, exhaust,
                                  generator_from_document, load_vector,
                                  truncate)
-from graphhvi.graphs import distances_from
+from graphhvi.graphs import distances_from, from_data
 
 from conftest import abs_density, quad_density, zero_density
 
@@ -116,6 +116,26 @@ class TestGenerator:
 
 
 class TestTruncate:
+    def test_underflowing_mu_rejected(self):
+        # 0.5 ** 1075 is 0.0; depth 1075 enters the ball from radius 1075.5
+        gen = path_generator(mu=WeightLaw("geometric-in-depth",
+                                          {"value": 1.0, "ratio": 0.5}))
+        assert truncate(gen, 1075.0).num_nodes == 1075
+        with pytest.raises(ValueError, match=r"mu at depth 1075: 0\.0$"):
+            truncate(gen, 1100.0)
+
+    def test_overflowing_gamma_rejected(self):
+        # 1e300 * 10.0 ** 9 is inf without an OverflowError; edges of depth
+        # 9 (to depth-10 nodes) enter the ball from radius 10.5
+        gamma = WeightLaw("geometric-in-depth", {"value": 1e300,
+                                                 "ratio": 10.0})
+        gen = GraphGenerator(kind="path", mu=constant(), rho=constant(),
+                             gamma=gamma, kappa=constant())
+        assert gamma(9) == math.inf
+        assert truncate(gen, 10.0).gamma.max() == 1e308
+        with pytest.raises(ValueError, match=r"gamma at depth 9: inf$"):
+            truncate(gen, 12.0)
+
     def test_path_ball(self):
         g = truncate(path_generator(), 3.5)
         assert g.nodes == ("0", "1", "2", "3")
@@ -190,6 +210,46 @@ def node_tuples(kind, max_depth):
             if abs(x) + abs(y) <= max_depth]
 
 
+def tuple_depth(kind, node):
+    if kind == "path":
+        return node[0]
+    if kind == "binary-tree":
+        return len(node[0])
+    return abs(node[0]) + abs(node[1])
+
+
+def all_neighbors(kind, node):
+    """Every neighbour of a node, in the order ``children`` keeps."""
+    if kind == "path":
+        (d,) = node
+        return [(d - 1,), (d + 1,)] if d > 0 else [(d + 1,)]
+    if kind == "binary-tree":
+        (word,) = node
+        parent = [(word[:-1],)] if word else []
+        return parent + [(word + "0",), (word + "1",)]
+    x, y = node
+    return [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+
+
+def record_truncation(gen, r):
+    """The truncation built as records, from ``node_tuples`` and
+    ``all_neighbors`` filtered by depth, and validated by ``from_data``."""
+    levels, dist = [], 0.0
+    while not levels or dist < r:
+        d = len(levels)
+        levels.append(sorted((u for u in node_tuples(gen.kind, d)
+                              if tuple_depth(gen.kind, u) == d),
+                             key=gen.node_id))
+        dist += gen.rho(d)
+    nodes = [(gen.node_id(u), gen.mu(d), gen.kappa(d))
+             for d, level in enumerate(levels) for u in level]
+    adj = [(gen.node_id(u), gen.node_id(v), gen.rho(d), gen.gamma(d))
+           for d, level in enumerate(levels[:-1]) for u in level
+           for v in all_neighbors(gen.kind, u)
+           if tuple_depth(gen.kind, v) == d + 1]
+    return from_data(nodes, adj)
+
+
 def edge_set(g, keep=None):
     """Directed edges as (src id, dst id, rho, gamma), both ends in keep."""
     return {(g.nodes[a], g.nodes[b], r, c) for a, b, r, c in
@@ -198,7 +258,30 @@ def edge_set(g, keep=None):
 
 
 class TestTruncateOracle:
-    """``truncate`` against scipy's Dijkstra on a larger truncation."""
+    """``truncate`` against scipy's Dijkstra on a larger truncation, and
+    against the same graph built from records by ``from_data``."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_children_are_deeper_neighbours(self, kind):
+        gen = depth_generator(kind, RHO_LAWS["constant"])
+        for u in node_tuples(kind, 6):
+            d = tuple_depth(kind, u)
+            assert list(gen.children(u)) == [
+                v for v in all_neighbors(kind, u)
+                if tuple_depth(kind, v) == d + 1]
+
+    @pytest.mark.parametrize("law", sorted(RHO_LAWS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_arrays_equal_record_build(self, kind, law):
+        gen = depth_generator(kind, RHO_LAWS[law])
+        for r in RADII:
+            g, ref = truncate(gen, r), record_truncation(gen, r)
+            assert g.nodes == ref.nodes
+            for name in ("mu", "kappa", "edge_src", "edge_dst", "rho",
+                         "gamma"):
+                a, b = getattr(g, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("law", sorted(RHO_LAWS))
     @pytest.mark.parametrize("kind", KINDS)

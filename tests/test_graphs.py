@@ -57,6 +57,12 @@ class TestFromData:
             gh.from_data([("a", 1, 1), ("b", 1, 1)],
                          [("a", "b", bad, 1)])
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(GraphFormatError, match="graph has no nodes"):
+            gh.from_data([], [])
+        with pytest.raises(GraphFormatError, match="graph has no nodes"):
+            gh.load_graph({"nodes": [], "adjacencies": []})
+
     def test_unknown_node_rejected(self):
         with pytest.raises(GraphFormatError, match="unknown node"):
             gh.from_data([("a", 1, 1)], [("a", "z", 1, 1)])

@@ -328,6 +328,12 @@ class TestParabolic:
             ParabolicProblem(graph=g, sp=quad_density(),
                              f=np.zeros((3, 2)), phi0=np.zeros(1),
                              T=1.0, steps=4)
+        # T / steps = 2.5e-321, so mu / tau overflows
+        with pytest.raises(ValueError, match="not finite"):
+            ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
+                             phi0=np.zeros(1), T=1e-320, steps=4)
+        ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
+                         phi0=np.zeros(1), T=1e-300, steps=4)
 
     def test_abort_keeps_partial_trajectory(self):
         problem = ParabolicProblem(graph=single_node(), sp=quad_density(),

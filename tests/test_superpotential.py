@@ -306,6 +306,10 @@ class TestDocuments:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="malformed schedule"):
             schedule_from_document([{"until": 1.0}])
+        for until in (math.nan, math.inf, -math.inf, 10 ** 400, True):
+            with pytest.raises(ValueError, match="malformed schedule"):
+                schedule_from_document([{"until": until, "density": {
+                    "breakpoints": [], "pieces": [[1.0]]}}])
         with pytest.raises(ValueError, match="increase"):
             schedule_from_document([
                 {"until": 1.0, "density": {"breakpoints": [],
