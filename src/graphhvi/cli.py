@@ -284,10 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:  # InputError, GraphFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ node functions by zero, the discrete Dirichlet condition.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -221,9 +220,7 @@ class ExhaustionReport:
 
 
 def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
-            radii, eps: float,
-            options: SolverOptions | None = None,
-            max_nodes: int = 100_000) -> ExhaustionReport:
+            radii, eps: float) -> ExhaustionReport:
     """Solve on nested ball truncations, warm-started by zero extension.
 
     ``increments[i]`` is the W-Hilbert norm, on the level-i node set, of the
@@ -239,7 +236,6 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
                          f"strictly increasing: {radii}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite: {eps}")
-    opts = options or SolverOptions()
     root_id = gen.node_id(gen.root)
 
     graphs: list[WeightedGraph] = []
@@ -248,13 +244,12 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     tails: list[float] = []
     prev_phi = np.zeros(0)
     for i, r in enumerate(radii):
-        g = truncate(gen, r, max_nodes=max_nodes)
+        g = truncate(gen, r)
         f = load_vector(gen, g, f_law)
         m = len(prev_phi)   # the previous level's nodes come first
         warm = np.concatenate([prev_phi, np.zeros(g.num_nodes - m)])
-        level_opts = dataclasses.replace(opts, initial=warm,
-                                         with_certificates=False)
-        rep = solve_elliptic(EllipticProblem(g, sp, f), level_opts)
+        opts = SolverOptions(initial=warm, with_certificates=False)
+        rep = solve_elliptic(EllipticProblem(g, sp, f), opts)
         if graphs:
             diff = rep.phi[:m] - prev_phi
             increments.append(sobolev_norms(graphs[-1], diff).w_hilbert)

@@ -114,7 +114,10 @@ def _pcg(matvec, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray | None,
     it = 0
     while nr > stop and it < max_iter:
         Ap = matvec(p)
-        alpha = rz / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:  # breakdown: p @ Ap underflows or A is not SPD
+            break
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         nr = math.sqrt(r @ r)

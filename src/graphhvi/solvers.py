@@ -8,7 +8,8 @@ polynomial piece, where the density is linearised; each step is one SPD
 solve on the free nodes.
 
 The parabolic path is implicit Euler: every time step is the elliptic
-problem with ``kappa + mu/tau`` and load ``f + phi_prev/tau``.
+problem with ``kappa + mu/tau`` and load ``f + phi_prev/tau``, solved by the
+same core on an operator assembled once per trajectory.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class SolverOptions:
     max_inner: int = 200          # cap on active-set steps
     initial: np.ndarray | None = None
     with_certificates: bool = True
-    certificate_range: float | None = None
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:  # also rejects NaN
@@ -180,8 +180,7 @@ def default_certificate_range(g: WeightedGraph, f: np.ndarray) -> float:
     return float((1.0 + 2.0 * fn / c.m_coercive) / math.sqrt(g.mu.min()))
 
 
-def certify(problem: EllipticProblem, r: float | None = None,
-            samples: int = 200) -> list[Certificate]:
+def certify(problem: EllipticProblem) -> list[Certificate]:
     """Existence-smallness and uniqueness certificates (both advisory).
 
     The comparison margin is ``m_coercive / 2`` with the data-derived
@@ -189,12 +188,11 @@ def certify(problem: EllipticProblem, r: float | None = None,
     estimate of the relaxed-monotonicity constant on [-r, r].
     """
     g, sp = problem.graph, problem.sp
-    if r is None:
-        r = default_certificate_range(g, problem.f)
+    r = default_certificate_range(g, problem.f)
     c = constants(g)
     margin = 0.5 * c.m_coercive
     gc = growth_certificate(sp, r)
-    a_j0 = relaxed_monotonicity_estimate(sp, r, samples)
+    a_j0 = relaxed_monotonicity_estimate(sp, r)
     scope = "global" if gc.global_bound else f"range [-{r:g}, {r:g}] only"
     existence = Certificate(
         kind="existence-smallness",
@@ -228,8 +226,9 @@ def _measure(opr: AssembledOperator, sp: Superpotential, phi: np.ndarray,
     return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
 
-def _active_set(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
-                phi: np.ndarray, opts: SolverOptions, trace: list[dict]):
+def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
+           phi: np.ndarray, opts: SolverOptions,
+           c: OperatorConstants) -> SolveReport:
     """Primal-dual active-set (semismooth Newton) loop on the exact inclusion.
 
     Node v is in state ``s[v]``: even ``2p`` is free on piece p, where
@@ -239,7 +238,8 @@ def _active_set(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     pinned at the first one it crosses, and a pinned node whose required
     ``xi`` lies above (below) its interval is released to the right
     (left).  Each step is one SPD solve on the free nodes with a merit line
-    search on the residual norm.  Returns the best measurement tuple.
+    search on the residual norm.  Reports the best iterate, without
+    certificates; the last trace entry names the reason the loop stopped.
     """
     density = sp.density
     bp = density.breakpoints
@@ -249,7 +249,7 @@ def _active_set(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     s = (np.searchsorted(bp, phi, side="left")
          + np.searchsorted(bp, phi, side="right"))
     m = _measure(opr, sp, phi, f)
-    best, seen = (phi, *m), {}
+    best, seen, trace = (phi, *m), {}, []
     steps = solves = iters = backtracks = 0
     while True:
         rn, target, lo, hi, _ = m
@@ -305,7 +305,11 @@ def _active_set(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
             trial = full
         phi, s, m = trial
     trace[-1]["reason"] = reason
-    return best
+    phi, rn, target, lo, hi, resid = best
+    return SolveReport(
+        phi=phi, xi=np.clip(target, lo, hi), inclusion_residual=resid,
+        residual_norm=rn, converged=rn <= opts.tol, iterations=trace,
+        certificates=[], norms=sobolev_norms(opr.graph, phi), constants=c)
 
 
 def solve_elliptic(problem: EllipticProblem,
@@ -317,44 +321,40 @@ def solve_elliptic(problem: EllipticProblem,
     entry names the reason the loop stopped.
     """
     opts = options or SolverOptions()
-    g, sp, f = problem.graph, problem.sp, problem.f
-    opr = assemble(g)
+    g = problem.graph
     phi = (np.zeros(g.num_nodes) if opts.initial is None
            else _check_nodes(g, opts.initial).copy())
-    trace: list[dict] = []
-    phi, rn, target, lo, hi, resid = _active_set(opr, sp, f, phi, opts, trace)
-    certificates = (certify(problem, opts.certificate_range)
-                    if opts.with_certificates else [])
-    return SolveReport(
-        phi=phi, xi=np.clip(target, lo, hi), inclusion_residual=resid,
-        residual_norm=rn, converged=rn <= opts.tol, iterations=trace,
-        certificates=certificates, norms=sobolev_norms(g, phi),
-        constants=constants(g),
-    )
+    rep = _solve(assemble(g), problem.sp, problem.f, phi, opts, constants(g))
+    if opts.with_certificates:
+        rep.certificates = certify(problem)
+    return rep
 
 
 def solve_parabolic(problem: ParabolicProblem,
                     options: SolverOptions | None = None) -> ParabolicResult:
     """Implicit Euler for the parabolic inclusion.
 
-    Each step reuses the elliptic solver with ``kappa + mu/tau`` and load
-    ``f_k + phi_prev/tau``, warm-started at the previous state.  A
-    non-convergent step aborts with the partial trajectory.
+    The operator with ``kappa + mu/tau`` is assembled once; each step solves
+    it with load ``f_k + phi_prev/tau``, warm-started at the previous state.
+    A non-convergent step aborts with the partial trajectory.
     """
     opts = options or SolverOptions()
     g = problem.graph
+    try:
+        times = np.linspace(0.0, problem.T, problem.steps + 1)
+        states = np.empty((problem.steps + 1, g.num_nodes))
+    except MemoryError:
+        raise ValueError(f"steps = {problem.steps} is too large: the "
+                         "trajectory does not fit in memory") from None
     tau = problem.T / problem.steps
     g_eff = dataclasses.replace(g, kappa=g.kappa + g.mu / tau)
-    times = np.linspace(0.0, problem.T, problem.steps + 1)
-    states = np.empty((problem.steps + 1, g.num_nodes))
+    opr, c = assemble(g_eff), constants(g_eff)
     states[0] = problem.phi0
     reports: list[SolveReport] = []
     for k in range(1, problem.steps + 1):
-        sp_k = problem.sp_at(times[k])
         f_eff = problem.f[k - 1] + states[k - 1] / tau
-        step_opts = dataclasses.replace(opts, initial=states[k - 1],
-                                        with_certificates=False)
-        rep = solve_elliptic(EllipticProblem(g_eff, sp_k, f_eff), step_opts)
+        rep = _solve(opr, problem.sp_at(times[k]), f_eff,
+                     states[k - 1].copy(), opts, c)
         reports.append(rep)
         states[k] = rep.phi
         if not rep.converged:

@@ -81,6 +81,15 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error:") and "Is a directory" in err
 
+    def test_directory_as_out(self, workspace, capsys):
+        (workspace / "reports").mkdir()
+        code, out, err = run(["validate", "--graph",
+                              str(workspace / "graph.json"),
+                              "--out", str(workspace / "reports")], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert not list(workspace.rglob(".graphhvi-*"))
+
     def test_empty_graph(self, tmp_path, capsys):
         path = write(tmp_path / "empty.json", {"nodes": [],
                                                "adjacencies": []})
@@ -291,6 +300,7 @@ class TestSolveParabolic:
         ("sp_schedule", [{"until": {}, "density": QUAD_SP}]),
         ("sp_schedule", [{"until": math.nan, "density": QUAD_SP}]),
         ("T", 1e-320),
+        ("steps", 10**17),  # about 711 PiB of trajectory: refused at once
     ])
     def test_malformed_fields(self, workspace, capsys, key, value):
         path = self.problem(workspace, **{key: value})
@@ -409,3 +419,20 @@ class TestExhaust:
                            capsys)
         assert code == 2
         assert "radii" in err or "eps" in err
+
+    def test_linear_solve_breakdown(self, tmp_path, capsys):
+        # conductances near 1e300 make p @ Ap underflow to 0 in the CG loop:
+        # a non-convergence report, not a ZeroDivisionError
+        doc = dict(EXHAUST_DOC, kind="path",
+                   f={"formula": "constant", "value": 5.0},
+                   weights=dict(EXHAUST_DOC["weights"], gamma={
+                       "formula": "geometric-in-depth", "value": 1e300,
+                       "ratio": 10.0}))
+        gen_path = write(tmp_path / "gen.json", doc)
+        code, out, err = run(["exhaust", "--generator", gen_path,
+                              "--radii", "2,4,8"], capsys)
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["converged"] is False
+        assert report["level_sizes"] == [2]

@@ -1,11 +1,13 @@
 """Elliptic and parabolic inclusion solvers against closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import graphhvi as gh
+import graphhvi.solvers
 from graphhvi.exhaustion import GraphGenerator, WeightLaw, truncate
 from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
                               SolverOptions, certify,
@@ -186,6 +188,17 @@ class TestActiveSet:
         assert not rep.converged
         assert all("reason" not in t for t in rep.iterations[:-1])
 
+    def test_linear_solve_breakdown_cycles(self):
+        # conductances 1e300: p @ Ap underflows to 0 in the first CG step,
+        # so the solve makes no progress and the loop reports a cycle
+        one = WeightLaw("constant", {"value": 1.0})
+        huge = WeightLaw("geometric-in-depth", {"value": 1e300, "ratio": 10.0})
+        g = truncate(GraphGenerator("path", one, one, huge, one), 2)
+        rep = solve_elliptic(EllipticProblem(g, abs_density(),
+                                             np.full(2, 5.0)))
+        assert not rep.converged
+        assert rep.iterations[-1]["reason"] == "cycled"
+
 
 def _sweep_graphs():
     one = WeightLaw("constant", {"value": 1.0})
@@ -334,6 +347,11 @@ class TestParabolic:
                              phi0=np.zeros(1), T=1e-320, steps=4)
         ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
                          phi0=np.zeros(1), T=1e-300, steps=4)
+        # the trajectory of 10**17 steps cannot be allocated
+        with pytest.raises(ValueError, match="steps"):
+            solve_parabolic(ParabolicProblem(
+                graph=g, sp=quad_density(), f=np.zeros(1), phi0=np.zeros(1),
+                T=1.0, steps=10**17))
 
     def test_abort_keeps_partial_trajectory(self):
         problem = ParabolicProblem(graph=single_node(), sp=quad_density(),
@@ -344,6 +362,73 @@ class TestParabolic:
         assert len(res.times) == 2
         assert res.states.shape == (2, 1)
         assert len(res.reports) == 1
+
+    def test_assembles_once(self, monkeypatch):
+        calls = []
+        real = graphhvi.solvers.assemble
+        monkeypatch.setattr(graphhvi.solvers, "assemble",
+                            lambda g: calls.append(g) or real(g))
+        g = make_random_graph(np.random.default_rng(30), max_nodes=20)
+        problem = ParabolicProblem(graph=g, sp=abs_density(),
+                                   f=np.ones(g.num_nodes),
+                                   phi0=np.zeros(g.num_nodes), T=1.0, steps=8)
+        res = solve_parabolic(problem)
+        assert res.converged and len(res.reports) == 8
+        assert len(calls) == 1
+
+
+def stepped_reference(problem, opts):
+    """Implicit Euler by hand: one public elliptic solve per step on the
+    graph with ``kappa + mu / tau``, warm-started at the previous state."""
+    g = problem.graph
+    tau = problem.T / problem.steps
+    g_eff = dataclasses.replace(g, kappa=g.kappa + g.mu / tau)
+    times = np.linspace(0.0, problem.T, problem.steps + 1)
+    states, reports = [problem.phi0], []
+    for k in range(1, problem.steps + 1):
+        prev = states[-1]
+        rep = solve_elliptic(
+            EllipticProblem(g_eff, problem.sp_at(times[k]),
+                            problem.f[k - 1] + prev / tau),
+            dataclasses.replace(opts, initial=prev, with_certificates=False))
+        reports.append(rep)
+        states.append(rep.phi)
+        if not rep.converged:
+            break
+    return times[:len(states)], np.array(states), reports
+
+
+class TestParabolicReference:
+    """``solve_parabolic`` is bit-identical to stepping ``solve_elliptic``."""
+
+    @pytest.mark.parametrize("case", ["convex", "nonconvex", "f-table",
+                                      "partial"])
+    def test_bit_identical(self, case):
+        rng = np.random.default_rng(31)
+        g = make_random_graph(rng, max_nodes=25, min_nodes=10)
+        n, steps = g.num_nodes, 6
+        f = rng.uniform(-2.0, 2.0, n)
+        sp, opts = density(ABS), SolverOptions()
+        if case == "nonconvex":
+            sp = density(NONCONVEX3)
+        elif case == "f-table":
+            f = rng.uniform(-2.0, 2.0, (steps, n))
+            sp = gh.SuperpotentialSchedule((0.5, 1.0), (density(ABS),
+                                                        density(NONCONVEX3)))
+        elif case == "partial":
+            opts = SolverOptions(max_inner=0)
+        problem = ParabolicProblem(graph=g, sp=sp, f=f,
+                                   phi0=rng.uniform(-1.0, 1.0, n),
+                                   T=1.0, steps=steps)
+        res = solve_parabolic(problem, opts)
+        times, states, reports = stepped_reference(problem, opts)
+        assert res.converged == (case != "partial")
+        assert res.times.tobytes() == times.tobytes()
+        assert res.states.tobytes() == states.tobytes()
+        assert ([r.residual_norm for r in res.reports]
+                == [r.residual_norm for r in reports])
+        assert ([r.iterations for r in res.reports]
+                == [r.iterations for r in reports])
 
 
 class TestOptions:
