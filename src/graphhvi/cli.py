@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exhaustion, operators, reports, solvers, superpotential
 from .calculus import lp_norm_nodes
-from .graphs import GraphFormatError, load_graph, node_function, node_table
+from .graphs import _finite, load_graph, node_function, node_table
 
 
 class InputError(ValueError):
@@ -36,25 +36,11 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _load_graph(base: str, name: str):
-    """The graph file ``name``, relative to ``base``; read and format errors
-    become :class:`InputError`."""
-    try:
-        return load_graph(os.path.join(base, name))
-    except OSError as exc:
-        raise InputError(f"{name}: cannot read ({exc.strerror})") from exc
-    except GraphFormatError as exc:
-        raise InputError(f"{name}: {exc}") from exc
-
-
 def _load_superpotential(doc, base_dir: str):
     """Inline object or a path relative to the problem file."""
     if isinstance(doc, str):
         doc = _load_json(os.path.join(base_dir, doc))
-    try:
-        return superpotential.from_document(doc)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return superpotential.from_document(doc)
 
 
 _PROBLEM_KEYS = {"graph", "superpotential", "f", "parabolic", "solver"}
@@ -63,10 +49,21 @@ _SOLVER_KEYS = {"tol": numbers.Real, "max_inner": numbers.Integral}
 
 
 def _number(value, kind, what: str):
-    """``value`` if it is a ``kind`` number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InputError(f"{what} must be a number, not {value!r}")
+    """``value`` if it is a ``kind`` number, not a bool; a real one finite."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or kind is numbers.Real and not _finite(value)):
+        raise InputError(f"{what} must be a finite number, not {value!r}")
     return value
+
+
+def _checked(what: str, fn, *args):
+    """``fn(*args)``; a read or value error from it names ``what``."""
+    try:
+        return fn(*args)
+    except OSError as exc:
+        raise InputError(f"{what}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def load_problem(path: str):
@@ -84,21 +81,15 @@ def load_problem(path: str):
             raise InputError(f"{path}: missing required key {key!r}")
     if not isinstance(doc["graph"], str):
         raise InputError(f"{path}: 'graph' must be a file name")
-    g = _load_graph(base, doc["graph"])
+    g = _checked(doc["graph"], load_graph, os.path.join(base, doc["graph"]))
     sp = _load_superpotential(doc["superpotential"], base)
-    try:
-        f = node_function(g, doc["f"])
-    except GraphFormatError as exc:
-        raise InputError(f"{path}: load f: {exc}") from exc
+    f = _checked(f"{path}: load f", node_function, g, doc["f"])
 
     solver = doc.get("solver", {})
     if not isinstance(solver, dict) or set(solver) - set(_SOLVER_KEYS):
         raise InputError(f"{path}: malformed 'solver' section")
-    try:
-        opts = solvers.SolverOptions(**{
-            k: _number(v, _SOLVER_KEYS[k], k) for k, v in solver.items()})
-    except ValueError as exc:
-        raise InputError(f"{path}: solver options: {exc}") from exc
+    opts = _checked(f"{path}: solver options", lambda: solvers.SolverOptions(
+        **{k: _number(v, _SOLVER_KEYS[k], k) for k, v in solver.items()}))
 
     parabolic = doc.get("parabolic")
     if parabolic is not None:
@@ -112,17 +103,15 @@ def load_problem(path: str):
 
 def _build_parabolic(g, sp, f, parabolic):
     steps = _number(parabolic["steps"], numbers.Integral, "steps")
-    phi0 = node_function(g, parabolic["phi0"])
+    phi0 = _checked("phi0", node_function, g, parabolic["phi0"])
     if "f_table" in parabolic:
         table = parabolic["f_table"]
         if not isinstance(table, list) or len(table) != steps:
             raise InputError(f"f_table must be a list of {steps} loads")
-        f = np.stack([node_function(g, row) for row in table])
+        f = np.stack([_checked(f"f_table[{k}]", node_function, g, row)
+                      for k, row in enumerate(table)])
     if "sp_schedule" in parabolic:
-        try:
-            sp = superpotential.schedule_from_document(parabolic["sp_schedule"])
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        sp = superpotential.schedule_from_document(parabolic["sp_schedule"])
     T = float(_number(parabolic["T"], numbers.Real, "T"))
     return solvers.ParabolicProblem(graph=g, sp=sp, f=f, phi0=phi0, T=T,
                                     steps=steps)
@@ -146,7 +135,7 @@ def _apply_overrides(opts, args):
 
 
 def cmd_validate(args) -> int:
-    g = _load_graph("", args.graph)
+    g = _checked(args.graph, load_graph, args.graph)
     _emit(reports.validate_report_dict(g), args, "graph validation")
     return 0
 
@@ -156,8 +145,8 @@ def cmd_certify(args) -> int:
     certs = solvers.certify(solvers.EllipticProblem(g, sp, f))
     doc = {
         "schema_version": reports.SCHEMA_VERSION,
-        "certificates": [reports.certificate_dict(c) for c in certs],
-        "constants": reports.constants_dict(operators.constants(g)),
+        "certificates": [dataclasses.asdict(c) for c in certs],
+        "constants": dataclasses.asdict(operators.constants(g)),
     }
     _emit(doc, args, "certificates")
     return 0
@@ -183,13 +172,8 @@ def cmd_solve_parabolic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, sp, f, _, opts = load_problem(args.problem)
-    opts = _apply_overrides(opts, args)
-    phi_doc = _load_json(args.phi)
-    try:
-        phi = node_function(g, phi_doc)
-    except GraphFormatError as exc:
-        raise InputError(f"{args.phi}: {exc}") from exc
+    g, sp, f, _, _ = load_problem(args.problem)
+    phi = _checked(args.phi, node_function, g, _load_json(args.phi))
     resid = solvers.verify_inclusion(g, sp, phi, f)
     doc = {
         "schema_version": reports.SCHEMA_VERSION,
@@ -202,20 +186,15 @@ def cmd_verify(args) -> int:
 
 def cmd_exhaust(args) -> int:
     doc = _load_json(args.generator)
-    try:
-        gen, f_law = exhaustion.generator_from_document(doc)
-    except ValueError as exc:
-        raise InputError(f"{args.generator}: {exc}") from exc
+    gen, f_law = _checked(args.generator,
+                          exhaustion.generator_from_document, doc)
     if "superpotential" not in doc:
         raise InputError(f"{args.generator}: missing 'superpotential'")
     sp = _load_superpotential(doc["superpotential"],
                               os.path.dirname(os.path.abspath(args.generator)))
-    try:
-        radii = [float(r) for r in args.radii.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad --radii list: {args.radii!r}") from exc
+    radii = _checked(f"bad --radii list {args.radii!r}",
+                     lambda: [float(r) for r in args.radii.split(",")])
     rep = exhaustion.exhaust(gen, sp, f_law, radii, args.eps)
-    final_g = rep.graphs[-1]
     out = {
         "schema_version": reports.SCHEMA_VERSION,
         "converged": rep.converged,
@@ -223,7 +202,7 @@ def cmd_exhaust(args) -> int:
         "level_sizes": [g.num_nodes for g in rep.graphs],
         "increments": rep.increments,
         "tail_masses": rep.tail_masses,
-        "final_solution": node_table(final_g, rep.solutions[-1].phi),
+        "final_solution": node_table(rep.graphs[-1], rep.solutions[-1].phi),
         "final_residual_norm": rep.solutions[-1].residual_norm,
     }
     _emit(out, args, "exhaustion study")

@@ -12,7 +12,11 @@ from __future__ import annotations
 import json
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import eq, itemgetter
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,8 +27,6 @@ class GraphFormatError(ValueError):
     """A graph document violates the file format or a structural invariant."""
 
 
-_NODE_KEYS = {"id", "mu", "kappa"}
-_ADJ_KEYS = {"a", "b", "rho", "gamma"}
 _TOP_KEYS = {"nodes", "adjacencies"}
 
 
@@ -74,27 +76,46 @@ class WeightedGraph:
         except KeyError:
             raise GraphFormatError(f"unknown node id: {node_id!r}") from None
 
+    @cached_property
+    def json_ids(self) -> tuple[str, ...]:
+        """Node ids as JSON string literals, escaped once for every report."""
+        return tuple(map(json.dumps, self.nodes))
+
     @property
     def mu_total(self) -> float:
         return float(self.mu.sum())
 
 
-def _real(x) -> bool:
-    """A real number that is not a bool (JSON ``true`` is not a number)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _finite(x) -> bool:
-    """A finite real number that is not a bool."""
-    return _real(x) and abs(x) <= sys.float_info.max
+    """A finite real number, not a bool (nor an int beyond float range)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
-def _weight(x, name: str, rec) -> float:
-    """A weight as a float, if it is a finite positive number (not a bool)."""
-    if _real(x) and 0 < x <= sys.float_info.max:
-        return float(x)
-    raise GraphFormatError(f"non-positive or non-finite {name} in record "
-                           f"{rec!r}")
+def _floats(col) -> np.ndarray:
+    """``col`` as floats, with nan where an entry is not a finite number."""
+    if set(map(type, col)) <= {float}:   # all JSON floats: numpy checks them
+        return np.array(col, dtype=float)
+    return np.array([float(x) if _finite(x) else np.nan for x in col])
+
+
+def _weight(name: str, x: np.ndarray) -> tuple:
+    return f"non-positive or non-finite {name}", ~(np.isfinite(x) & (x > 0))
+
+
+def _columns(recs: list, k: int) -> list:
+    if set(map(len, recs)) - {k}:
+        raise GraphFormatError(f"every record must have {k} fields")
+    return list(zip(*recs)) or [()] * k
+
+
+def _raise_first(recs: list, checks: list) -> None:
+    """Raise for the first record failing a ``(fault, mask)`` check."""
+    bad = np.array([mask for _, mask in checks], dtype=bool)
+    if bad.any():
+        i = np.flatnonzero(bad.any(axis=0))[0]
+        fault = checks[np.flatnonzero(bad[:, i])[0]][0]   # in check order
+        raise GraphFormatError(f"{fault} in record {recs[i]!r}")
 
 
 def from_data(nodes, adjacencies) -> WeightedGraph:
@@ -103,57 +124,59 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
     Each undirected adjacency must appear exactly once; both orientations
     are materialized.  Raises :class:`GraphFormatError` on an empty node
     list, duplicate ids, self-loops, non-positive or non-finite weights or
-    unknown node references.
+    unknown node references, naming the first offending record.
     """
-    ids, mu, kappa = [], [], []
-    seen = set()
-    for rec in nodes:
-        vid, m, k = rec
-        if vid in seen:
-            raise GraphFormatError(f"duplicate node id in record {rec!r}")
-        seen.add(vid)
-        ids.append(str(vid))
-        mu.append(_weight(m, "measure", rec))
-        kappa.append(_weight(k, "kappa", rec))
-    if not ids:
+    nodes, adjacencies = list(nodes), list(adjacencies)
+    ids, mu, kappa = _columns(nodes, 3)
+    ids, mu, kappa = list(map(str, ids)), _floats(mu), _floats(kappa)
+    n = len(ids)
+    index = dict(zip(ids[::-1], range(n - 1, -1, -1)))   # first occurrence
+    dup = np.fromiter(map(index.get, ids), np.intp, n) != np.arange(n)
+    _raise_first(nodes, [("duplicate node id", dup), _weight("measure", mu),
+                         _weight("kappa", kappa)])
+    if not n:
         raise GraphFormatError("graph has no nodes")
-    index = {v: i for i, v in enumerate(ids)}
 
-    src, dst, rho, gamma = [], [], [], []
-    seen_adj = set()
-    for rec in adjacencies:
-        a, b, r, g = rec
-        if a == b:
-            raise GraphFormatError(f"self-loop in record {rec!r}")
-        if a not in index or b not in index:
-            raise GraphFormatError(f"reference to unknown node in record {rec!r}")
-        key = (min(a, b), max(a, b))
-        if key in seen_adj:
-            raise GraphFormatError(f"duplicate adjacency in record {rec!r}")
-        seen_adj.add(key)
-        r, g = _weight(r, "rho", rec), _weight(g, "gamma", rec)
-        ia, ib = index[a], index[b]
-        src += [ia, ib]
-        dst += [ib, ia]
-        rho += [r, r]
-        gamma += [g, g]
-
+    a, b, rho, gamma = _columns(adjacencies, 4)
+    m = len(a)
+    ia, ib = (np.fromiter(map(index.get, c, repeat(-1)), np.intp, m)
+              for c in (a, b))
+    # one key per unordered index pair; an unknown node (-1) makes it negative
+    key = np.minimum(ia, ib) * n + np.maximum(ia, ib)
+    dup = np.ones(m, dtype=bool)
+    dup[np.unique(key, return_index=True)[1]] = False
+    rho, gamma = _floats(rho), _floats(gamma)
+    _raise_first(adjacencies, [
+        ("self-loop", np.fromiter(map(eq, a, b), bool, m)),
+        ("reference to unknown node", (ia < 0) | (ib < 0)),
+        ("duplicate adjacency", dup), _weight("rho", rho),
+        _weight("gamma", gamma)])
     return WeightedGraph(
-        nodes=tuple(ids),
-        mu=np.asarray(mu, dtype=float),
-        kappa=np.asarray(kappa, dtype=float),
-        edge_src=np.asarray(src, dtype=np.intp),
-        edge_dst=np.asarray(dst, dtype=np.intp),
-        rho=np.asarray(rho, dtype=float),
-        gamma=np.asarray(gamma, dtype=float),
-    )
+        nodes=tuple(ids), mu=mu, kappa=kappa,
+        edge_src=np.column_stack((ia, ib)).ravel(),
+        edge_dst=np.column_stack((ib, ia)).ravel(),
+        rho=np.repeat(rho, 2), gamma=np.repeat(gamma, 2))
+
+
+def _records(recs: list, keys: tuple, kind: str) -> list:
+    """Record objects as tuples in ``keys`` order.  Each must have exactly
+    ``keys``, and its ids (all keys but the two weights) must be strings."""
+    want, ids = set(keys), keys[:-2]
+    if not (all(map(isinstance, recs, repeat(dict)))
+            and all(map(eq, map(dict.keys, recs), repeat(want)))
+            and all(all(map(isinstance, map(itemgetter(k), recs),
+                            repeat(str))) for k in ids)):
+        for rec in recs:
+            if (not isinstance(rec, dict) or set(rec) != want
+                    or not all(isinstance(rec[k], str) for k in ids)):
+                raise GraphFormatError(f"malformed {kind} record {rec!r}")
+    return list(map(itemgetter(*keys), recs))
 
 
 def load_graph(document) -> WeightedGraph:
     """Parse a graph from a JSON document (dict, JSON string, or file path)."""
     if isinstance(document, str):
-        text = document.lstrip()
-        if text.startswith("{"):
+        if document.lstrip().startswith("{"):
             document = json.loads(document)
         else:
             with open(document) as fh:
@@ -167,21 +190,10 @@ def load_graph(document) -> WeightedGraph:
         raise GraphFormatError("graph document missing 'nodes'")
     if not all(isinstance(document.get(k, []), list) for k in _TOP_KEYS):
         raise GraphFormatError("graph 'nodes' and 'adjacencies' must be lists")
-
-    nodes = []
-    for rec in document["nodes"]:
-        if (not isinstance(rec, dict) or set(rec) != _NODE_KEYS
-                or not isinstance(rec["id"], str)):
-            raise GraphFormatError(f"malformed node record {rec!r}")
-        nodes.append((rec["id"], rec["mu"], rec["kappa"]))
-    adjacencies = []
-    for rec in document.get("adjacencies", []):
-        if (not isinstance(rec, dict) or set(rec) != _ADJ_KEYS
-                or not isinstance(rec["a"], str)
-                or not isinstance(rec["b"], str)):
-            raise GraphFormatError(f"malformed adjacency record {rec!r}")
-        adjacencies.append((rec["a"], rec["b"], rec["rho"], rec["gamma"]))
-    return from_data(nodes, adjacencies)
+    return from_data(
+        _records(document["nodes"], ("id", "mu", "kappa"), "node"),
+        _records(document.get("adjacencies", []), ("a", "b", "rho", "gamma"),
+                 "adjacency"))
 
 
 def node_function(g: WeightedGraph, values) -> np.ndarray:
@@ -190,28 +202,43 @@ def node_function(g: WeightedGraph, values) -> np.ndarray:
     A mapping must assign a value to every node and nothing else; every
     value of a mapping or list must be a finite number.
     """
-    if isinstance(values, dict):
+    if isinstance(values, Mapping):
         missing = set(g.nodes) - set(values)
         extra = set(values) - set(g.nodes)
         if missing or extra:
             raise GraphFormatError(
                 f"node function support mismatch: missing={sorted(missing)}, "
                 f"extra={sorted(extra)}")
-        values = [values[v] for v in g.nodes]
-    if isinstance(values, (list, tuple)) and not all(map(_real, values)):
-        raise GraphFormatError("node function values must be numbers")
+        values = list(map(values.__getitem__, g.nodes))
+    if isinstance(values, (list, tuple)):
+        values = _floats(values)
     arr = np.asarray(values, dtype=float)
     if arr.shape != (g.num_nodes,):
         raise GraphFormatError(
             f"node function has shape {arr.shape}, expected ({g.num_nodes},)")
     if not np.all(np.isfinite(arr)):
-        raise GraphFormatError("node function values must be finite")
+        raise GraphFormatError("node function values must be finite numbers")
     return arr
 
 
-def node_table(g: WeightedGraph, phi: np.ndarray) -> dict[str, float]:
-    """Inverse of :func:`node_function`: vector to ``{node id: value}``."""
-    return {v: float(phi[i]) for i, v in enumerate(g.nodes)}
+class NodeTable(Mapping):
+    """Read-only ``{node id: value}`` view of a node vector, the inverse of
+    :func:`node_function`; reports render it straight from the array."""
+
+    def __init__(self, g: WeightedGraph, phi):
+        self.graph, self.values = g, np.asarray(phi, dtype=float)
+
+    def __getitem__(self, node_id) -> float:
+        return float(self.values[self.graph._index[node_id]])
+
+    def __iter__(self):
+        return iter(self.graph.nodes)
+
+    def __len__(self) -> int:
+        return self.graph.num_nodes
+
+
+node_table = NodeTable
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,15 @@ import json
 import os
 import math
 import tempfile
+from collections.abc import Mapping
+from dataclasses import asdict
+from itertools import chain
 
-from .calculus import SobolevNormReport
-from .graphs import WeightedGraph, degrees, node_table, volume
-from .operators import OperatorConstants
-from .solvers import Certificate, ParabolicResult, SolveReport
+import numpy as np
+
+from .graphs import NodeTable, WeightedGraph, degrees, node_table, volume
+from .operators import constants
+from .solvers import ParabolicResult, SolveReport
 
 SCHEMA_VERSION = 1
 
@@ -30,7 +34,17 @@ def _fmt_float(x: float) -> str:
 
 def render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, NodeTable) and obj:
+        # the whole table in one format call: ids escaped once per graph,
+        # floats formatted in bulk unless one is not finite
+        x, fmt = obj.values.tolist(), "%s: %.17g"
+        if not np.isfinite(obj.values).all():
+            x, fmt = list(map(_fmt_float, x)), "%s: %s"
+        sep = f",\n{pad}  "
+        return (f"{{{sep[1:]}" + sep.join([fmt] * len(x))
+                % tuple(chain.from_iterable(zip(obj.graph.json_ids, x)))
+                + f"\n{pad}}}")
+    if isinstance(obj, Mapping):
         if not obj:
             return "{}"
         items = ",\n".join(f'{pad}  {json.dumps(str(k))}: '
@@ -53,22 +67,6 @@ def render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def norms_dict(n: SobolevNormReport) -> dict:
-    return {"l2_node": n.l2_node, "l2_edge": n.l2_edge,
-            "w_sum": n.w_sum, "w_hilbert": n.w_hilbert}
-
-
-def constants_dict(c: OperatorConstants) -> dict:
-    return {"m_gamma_lo": c.m_gamma_lo, "m_gamma_hi": c.m_gamma_hi,
-            "m_kappa_lo": c.m_kappa_lo, "m_kappa_hi": c.m_kappa_hi,
-            "m_coercive": c.m_coercive, "m_bounded": c.m_bounded}
-
-
-def certificate_dict(c: Certificate) -> dict:
-    return {"kind": c.kind, "satisfied": c.satisfied,
-            "lhs": c.lhs, "rhs": c.rhs, "note": c.note}
-
-
 def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -77,9 +75,9 @@ def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
         "solution": node_table(g, rep.phi),
         "xi": node_table(g, rep.xi),
         "residual": node_table(g, rep.inclusion_residual),
-        "norms": norms_dict(rep.norms),
-        "constants": constants_dict(rep.constants),
-        "certificates": [certificate_dict(c) for c in rep.certificates],
+        "norms": asdict(rep.norms),
+        "constants": asdict(rep.constants),
+        "certificates": [asdict(c) for c in rep.certificates],
         "trace": [dict(t) for t in rep.iterations],
     }
 
@@ -88,26 +86,22 @@ def parabolic_report_dict(g: WeightedGraph, res: ParabolicResult) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "converged": res.converged,
-        "times": [float(t) for t in res.times],
+        "times": res.times.tolist(),
         "states": [node_table(g, row) for row in res.states],
         "step_residual_norms": [r.residual_norm for r in res.reports],
-        "constants": constants_dict(res.reports[-1].constants)
-        if res.reports else {},
+        "constants": asdict(res.reports[-1].constants) if res.reports else {},
     }
 
 
 def validate_report_dict(g: WeightedGraph) -> dict:
-    from .operators import constants
-    degs = degrees(g)
     return {
         "schema_version": SCHEMA_VERSION,
         "num_nodes": g.num_nodes,
         "num_directed_edges": g.num_edges,
         "mu_total": g.mu_total,
         "volume_rho": volume(g),
-        "degrees": {v: {"deg_out": d.deg_out, "deg_in": d.deg_in,
-                        "deg": d.deg} for v, d in degs.items()},
-        "constants": constants_dict(constants(g)),
+        "degrees": {v: asdict(d) for v, d in degrees(g).items()},
+        "constants": asdict(constants(g)),
     }
 
 
@@ -115,16 +109,16 @@ def render_human(doc: dict, title: str) -> str:
     lines = [title, "=" * len(title)]
 
     def walk(obj, prefix=""):
-        if isinstance(obj, dict):
+        if isinstance(obj, Mapping):
             for k, v in obj.items():
-                if isinstance(v, (dict, list, tuple)):
+                if isinstance(v, (Mapping, list, tuple)):
                     lines.append(f"{prefix}{k}:")
                     walk(v, prefix + "  ")
                 else:
                     lines.append(f"{prefix}{k}: {v}")
         elif isinstance(obj, (list, tuple)):
             for i, v in enumerate(obj):
-                if isinstance(v, (dict, list, tuple)):
+                if isinstance(v, (Mapping, list, tuple)):
                     lines.append(f"{prefix}[{i}]")
                     walk(v, prefix + "  ")
                 else:

@@ -17,7 +17,7 @@ from itertools import zip_longest
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .graphs import _finite, _real
+from .graphs import _finite
 
 
 def _table(polys) -> np.ndarray:
@@ -368,10 +368,10 @@ def from_document(doc: dict) -> Superpotential:
         raise ValueError(f"malformed superpotential document: {doc!r}")
     bp, pieces = doc["breakpoints"], doc["pieces"]
     if not (isinstance(pieces, list)
-            and all(isinstance(c, list) and all(map(_real, c))
+            and all(isinstance(c, list) and all(map(_finite, c))
                     for c in [bp, *pieces])):
         raise ValueError("superpotential breakpoints and pieces must be "
-                         f"lists of numbers: {doc!r}")
+                         f"lists of finite numbers: {doc!r}")
     return build(PiecewiseDensity(np.asarray(bp, dtype=float),
                                   tuple(np.asarray(c, dtype=float)
                                         for c in pieces)))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import graphhvi.cli
 from graphhvi.cli import main
 
 GRAPH = {
@@ -13,6 +14,7 @@ GRAPH = {
 }
 ABS_SP = {"breakpoints": [0.0], "pieces": [[-1.0], [1.0]]}
 QUAD_SP = {"breakpoints": [], "pieces": [[0.0, 1.0]]}
+BIG = 10 ** 400   # a JSON integer that no float can hold
 
 
 def write(path, doc):
@@ -218,6 +220,23 @@ class TestSolveElliptic:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("f", {"v": BIG}, "load f"),
+        ("f", [BIG], "load f"),
+        ("superpotential", {"breakpoints": [BIG], "pieces": [[-1.0], [1.0]]},
+         "superpotential breakpoints"),
+        ("superpotential", {"breakpoints": [0.0], "pieces": [[BIG], [1.0]]},
+         "superpotential breakpoints and pieces"),
+        ("solver", {"tol": BIG}, "tol"),
+    ], ids=["f-map", "f-list", "breakpoint", "coefficient", "tol"])
+    def test_huge_integer(self, workspace, capsys, key, value, field):
+        path = write(workspace / "huge.json", {
+            "graph": "graph.json", "superpotential": ABS_SP, "f": {"v": 1.0},
+            key: value})
+        code, _, err = run(["solve-elliptic", "--problem", path], capsys)
+        assert code == 2
+        assert err.startswith("error:") and field in err
+
     def test_directory_as_input(self, workspace, capsys):
         (workspace / "graphs").mkdir()
         path = write(workspace / "dir-graph.json", {
@@ -260,6 +279,14 @@ class TestVerify:
                             "--phi", phi_path], capsys)
         assert code == 0
         assert json.loads(out)["residual_norm"] <= 1e-9
+
+    def test_huge_integer(self, workspace, capsys):
+        phi_path = write(workspace / "phi.json", {"v": BIG})
+        code, _, err = run(["verify", "--problem",
+                            str(workspace / "problem.json"),
+                            "--phi", phi_path], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {phi_path}: ")
 
     def test_wrong_support(self, workspace, capsys):
         phi_path = write(workspace / "phi.json", {"w": 1.0})
@@ -307,6 +334,16 @@ class TestSolveParabolic:
         code, _, err = run(["solve-parabolic", "--problem", path], capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("T", BIG), ("phi0", {"v": BIG}), ("f_table", [{"v": 1.0}] * 7
+                                           + [{"v": BIG}])],
+        ids=["T", "phi0", "f_table"])
+    def test_huge_integer(self, workspace, capsys, key, value):
+        path = self.problem(workspace, **{key: value})
+        code, _, err = run(["solve-parabolic", "--problem", path], capsys)
+        assert code == 2
+        assert err.startswith("error:") and key in err
 
     def test_missing_parabolic_section(self, workspace, capsys):
         code, _, err = run(["solve-parabolic", "--problem",
@@ -436,3 +473,47 @@ class TestExhaust:
         report = json.loads(out)
         assert report["converged"] is False
         assert report["level_sizes"] == [2]
+
+
+class _ModuleView:
+    """Stands in for a module under one caller's name, as the benchmark's
+    tracer does, so that a module's calls to itself are not counted."""
+
+    def __init__(self, module, **replace):
+        self._module = module
+        self.__dict__.update(replace)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve-elliptic", {}),
+    ("solve-parabolic", {"parabolic": {"T": 1.0, "steps": 4,
+                                       "phi0": {"v": 0.0}}}),
+])
+def test_one_load_and_one_render_per_operation(workspace, capsys,
+                                               monkeypatch, command, extra):
+    """The benchmark times ``graphs.load`` and ``reports.render`` by spans
+    around ``graphhvi.cli.load_graph`` and ``graphhvi.cli.reports.render_json``:
+    each must be called exactly once per operation."""
+    calls = {"load": 0, "render": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cli = graphhvi.cli
+    monkeypatch.setattr(cli, "load_graph", counting("load", cli.load_graph))
+    monkeypatch.setattr(cli, "reports", _ModuleView(
+        cli.reports, render_json=counting("render", cli.reports.render_json)))
+    path = write(workspace / "op.json", {
+        "graph": "graph.json", "superpotential": QUAD_SP, "f": {"v": 1.0},
+        **extra})
+    for _ in range(2):
+        code, _, _ = run([command, "--problem", path,
+                          "--out", str(workspace / "out.json")], capsys)
+        assert code == 0
+    assert calls == {"load": 2, "render": 2}

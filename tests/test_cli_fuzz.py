@@ -6,7 +6,8 @@ document (``exhaust``), is valid, or malformed in one slot: a number
 replaced by an object, a list, NaN, an infinity, a bool, a string or null,
 a section replaced by a non-section, an unknown or missing key, an
 unknown formula or kind, or a parabolic time step too small for the
-graph.  ``cli.main`` must return 0 or 1 for a valid document and 2 for a
+graph.  A float slot may also get an integer too large for a float.
+``cli.main`` must return 0 or 1 for a valid document and 2 for a
 malformed one, and never raise.
 """
 
@@ -21,6 +22,8 @@ from graphhvi.cli import main
 
 NOT_NUMBERS = [{}, {"x": 1.0}, [], [1.0], math.nan, math.inf, -math.inf,
                True, False, "1.0", None]
+# for a float slot, also a JSON integer that no float can hold
+NOT_FLOATS = NOT_NUMBERS + [10 ** 400]
 # values that are never a valid node map, density list or solver section
 NOT_SECTIONS = [{"x": 1.0}, math.nan, math.inf, True, "1.0", None, 2.0]
 
@@ -86,7 +89,7 @@ def cases(draw):
                           "max_inner": draw(st.integers(0, 50))}}
     docs = {"graph": graph, "problem": problem}
 
-    bad = st.sampled_from(NOT_NUMBERS)
+    bad = st.sampled_from(NOT_FLOATS)
     section = st.sampled_from(NOT_SECTIONS)
     slots = [
         _set(("problem", "f", ids[-1]), draw(bad)),
@@ -98,8 +101,10 @@ def cases(draw):
         _set(("problem", "superpotential", "pieces", 0, 0), draw(bad)),
         _set(("problem", "superpotential", "pieces"), draw(section)),
         _set(("problem", "superpotential", "scale"), 1.0),
-        _set(("problem", "solver",
-              draw(st.sampled_from(["tol", "max_inner"]))), draw(bad)),
+        _set(("problem", "solver", "tol"), draw(bad)),
+        # a huge int is a valid max_inner
+        _set(("problem", "solver", "max_inner"),
+             draw(st.sampled_from(NOT_NUMBERS))),
         _set(("problem", "solver", "max_inner"), 1.5),
         _set(("problem", "solver", "h_schedule"), [0.1]),
         _set(("problem", "solver"), draw(section)),
@@ -148,12 +153,12 @@ def parabolic_cases(draw):
                "f": draw(node_map), "parabolic": parabolic}
     docs = {"problem": problem}
 
-    bad = st.sampled_from(NOT_NUMBERS)
+    bad = st.sampled_from(NOT_FLOATS)
     section = st.sampled_from(NOT_SECTIONS)
     par = ("problem", "parabolic")
     slots = [
         # 1e-320 / steps is a step so small that mu / tau overflows
-        _set((*par, "T"), draw(st.sampled_from(NOT_NUMBERS
+        _set((*par, "T"), draw(st.sampled_from(NOT_FLOATS
                                                + [0.0, -1.0, 1e-320]))),
         _set((*par, "steps"), draw(st.sampled_from(NOT_NUMBERS
                                                    + [0, -1, 1.5]))),
@@ -225,7 +230,7 @@ def generator_cases(draw):
             "eps": "1e-6"}
     docs = {"doc": doc, "args": args}
 
-    bad = st.sampled_from(NOT_NUMBERS)
+    bad = st.sampled_from(NOT_FLOATS)
     name = draw(st.sampled_from(["mu", "rho", "gamma", "kappa"]))
     law = ("doc", "weights", name)
     param = draw(st.sampled_from(sorted(set(weights[name]) - {"formula"})))

@@ -2,10 +2,12 @@
 
 import json
 import math
+import numbers
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import graphhvi as gh
 from graphhvi.graphs import GraphFormatError
@@ -194,3 +196,173 @@ class TestMetricStructure:
         g = self.path3()
         small, large = sorted((r1, r2))
         assert gh.ball(g, "b", small) <= gh.ball(g, "b", large)
+
+
+# -- the per-record loader, kept as the oracle of the column-wise one -------
+
+
+def _old_weight(x, name, rec):
+    if (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and 0 < x <= sys.float_info.max):
+        return float(x)
+    raise GraphFormatError(f"non-positive or non-finite {name} in record "
+                           f"{rec!r}")
+
+
+def old_from_data(nodes, adjacencies):
+    ids, mu, kappa = [], [], []
+    seen = set()
+    for rec in nodes:
+        vid, m, k = rec
+        if vid in seen:
+            raise GraphFormatError(f"duplicate node id in record {rec!r}")
+        seen.add(vid)
+        ids.append(str(vid))
+        mu.append(_old_weight(m, "measure", rec))
+        kappa.append(_old_weight(k, "kappa", rec))
+    if not ids:
+        raise GraphFormatError("graph has no nodes")
+    index = {v: i for i, v in enumerate(ids)}
+    src, dst, rho, gamma = [], [], [], []
+    seen_adj = set()
+    for rec in adjacencies:
+        a, b, r, g = rec
+        if a == b:
+            raise GraphFormatError(f"self-loop in record {rec!r}")
+        if a not in index or b not in index:
+            raise GraphFormatError(f"reference to unknown node in record "
+                                   f"{rec!r}")
+        key = (min(a, b), max(a, b))
+        if key in seen_adj:
+            raise GraphFormatError(f"duplicate adjacency in record {rec!r}")
+        seen_adj.add(key)
+        r, g = _old_weight(r, "rho", rec), _old_weight(g, "gamma", rec)
+        ia, ib = index[a], index[b]
+        src += [ia, ib]
+        dst += [ib, ia]
+        rho += [r, r]
+        gamma += [g, g]
+    return (tuple(ids), np.asarray(mu, dtype=float),
+            np.asarray(kappa, dtype=float), np.asarray(src, dtype=np.intp),
+            np.asarray(dst, dtype=np.intp), np.asarray(rho, dtype=float),
+            np.asarray(gamma, dtype=float))
+
+
+def old_load_graph(document):
+    nodes = []
+    for rec in document["nodes"]:
+        if (not isinstance(rec, dict) or set(rec) != {"id", "mu", "kappa"}
+                or not isinstance(rec["id"], str)):
+            raise GraphFormatError(f"malformed node record {rec!r}")
+        nodes.append((rec["id"], rec["mu"], rec["kappa"]))
+    adjacencies = []
+    for rec in document["adjacencies"]:
+        if (not isinstance(rec, dict) or set(rec) != {"a", "b", "rho", "gamma"}
+                or not isinstance(rec["a"], str)
+                or not isinstance(rec["b"], str)):
+            raise GraphFormatError(f"malformed adjacency record {rec!r}")
+        adjacencies.append((rec["a"], rec["b"], rec["rho"], rec["gamma"]))
+    return old_from_data(nodes, adjacencies)
+
+
+BIG = 10 ** 400   # an int that no float can hold
+WEIGHTS = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000))
+BAD_WEIGHTS = [True, False, "1.0", None, [], math.nan, math.inf, -math.inf,
+               0.0, -1.0, 0, -3, BIG, -BIG]
+BAD_RECORDS = [3, "v", [], None, {"id": "z"}]
+BAD_IDS = [1, None, ["v0"], True]
+KEYS = {"nodes": ("id", "mu", "kappa"), "adjacencies": ("a", "b", "rho", "gamma")}
+FAULTS = ["node-malformed", "node-weight", "node-duplicate",
+          "adjacency-malformed", "adjacency-weight", "adjacency-duplicate",
+          "self-loop", "unknown", "reversed"]
+
+
+@st.composite
+def graph_documents(draw):
+    """A valid graph document (int and float weights; possibly no
+    adjacencies) and the same document with 1 to 3 planted faults."""
+    n = draw(st.integers(1, 8))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]),
+                          unique=True, max_size=12))
+    doc = {"nodes": [{"id": v, "mu": draw(WEIGHTS), "kappa": draw(WEIGHTS)}
+                     for v in ids],
+           "adjacencies": [{"a": ids[i], "b": ids[j], "rho": draw(WEIGHTS),
+                            "gamma": draw(WEIGHTS)}
+                           for i, j in (p if draw(st.booleans()) else p[::-1]
+                                        for p in pairs)]}
+    bad = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(FAULTS))
+        section = "nodes" if fault.startswith("node") else "adjacencies"
+        recs = bad[section]
+        keys = KEYS[section]
+        if not recs:
+            continue
+        at = draw(st.integers(0, len(recs) - 1))
+        rec = recs[at]
+        if not isinstance(rec, dict) or not set(keys) <= set(rec):
+            continue   # an earlier fault already broke this record
+        if fault.endswith("malformed"):
+            recs[at] = draw(st.sampled_from(
+                BAD_RECORDS + [dict(rec, color="blue"),
+                               dict(list(rec.items())[1:])]
+                + [dict(rec, **{k: draw(st.sampled_from(BAD_IDS))})
+                   for k in ("id", "a", "b") if k in rec]))
+        elif fault.endswith("weight"):
+            rec[draw(st.sampled_from(keys[-2:]))] = draw(
+                st.sampled_from(BAD_WEIGHTS))
+        elif fault.endswith("duplicate"):   # its copy may have a bad weight
+            copy = dict(rec)
+            if draw(st.booleans()):
+                copy[draw(st.sampled_from(keys[-2:]))] = draw(
+                    st.sampled_from(BAD_WEIGHTS))
+            recs.insert(draw(st.integers(0, len(recs))), copy)
+        elif fault == "self-loop":
+            rec["b"] = rec["a"]
+        elif fault == "unknown":
+            rec[draw(st.sampled_from(["a", "b"]))] = "ghost"
+        else:   # the same adjacency again, in the other orientation
+            recs.insert(draw(st.integers(0, len(recs))),
+                        dict(rec, a=rec["b"], b=rec["a"]))
+    return doc, bad
+
+
+def _outcome(load, doc):
+    try:
+        return load(doc)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def _arrays(g):
+    return (g.nodes, g.mu, g.kappa, g.edge_src, g.edge_dst, g.rho, g.gamma)
+
+
+class TestLoaderOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(graph_documents())
+    def test_matches_per_record_loader(self, docs):
+        for doc in docs:
+            old = _outcome(old_load_graph, doc)
+            new = _outcome(gh.load_graph, doc)
+            if isinstance(old, str):
+                assert new == old
+                continue
+            assert not isinstance(new, str), new
+            for a, b in zip(_arrays(new), old):
+                if isinstance(a, tuple):
+                    assert a == b
+                else:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        doc = docs[0]   # valid: the same arrays from tuple records
+        recs = ([tuple(r.values()) for r in doc["nodes"]],
+                [tuple(r.values()) for r in doc["adjacencies"]])
+        for a, b in zip(_arrays(gh.from_data(*recs)), old_from_data(*recs)):
+            assert a == b if isinstance(a, tuple) else a.tobytes() == b.tobytes()
+
+    def test_record_arity(self):
+        with pytest.raises(GraphFormatError, match="3 fields"):
+            gh.from_data([("a", 1.0, 1.0), ("b", 1.0, 1.0, 1.0)], [])

@@ -5,12 +5,112 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphhvi as gh
 from graphhvi import reports
+from graphhvi.graphs import NodeTable, WeightedGraph
 from graphhvi.solvers import EllipticProblem, solve_elliptic
 
 from conftest import abs_density, make_random_graph
+
+
+def old_render_json(obj, indent: int = 0) -> str:
+    """The per-scalar renderer that node tables used to go through, kept as
+    the oracle of byte-identical output."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f'{pad}  {json.dumps(str(k))}: '
+                           f'{old_render_json(v, indent + 1)}'
+                           for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {old_render_json(v, indent + 1)}"
+                           for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return reports._fmt_float(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+def old_render_human(doc: dict, title: str) -> str:
+    lines = [title, "=" * len(title)]
+
+    def walk(obj, prefix=""):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                if isinstance(v, (dict, list, tuple)):
+                    lines.append(f"{prefix}{k}:")
+                    walk(v, prefix + "  ")
+                else:
+                    lines.append(f"{prefix}{k}: {v}")
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                if isinstance(v, (dict, list, tuple)):
+                    lines.append(f"{prefix}[{i}]")
+                    walk(v, prefix + "  ")
+                else:
+                    lines.append(f"{prefix}- {v}")
+
+    walk(doc)
+    return "\n".join(lines) + "\n"
+
+
+def as_dicts(obj):
+    """``obj`` with every node table built as the dict it used to be."""
+    if isinstance(obj, NodeTable):
+        return {v: float(obj.values[i]) for i, v in enumerate(obj.graph.nodes)}
+    if isinstance(obj, dict):
+        return {k: as_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_dicts(v) for v in obj]
+    return obj
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308,
+           1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# ids that JSON must escape, non-ASCII ids and ids with format characters
+ids = st.text(st.sampled_from('ab"\\\x00\x1f\n\té%{} ,:'), max_size=4)
+
+
+def graph_of(nodes) -> WeightedGraph:
+    n = len(nodes)
+    empty = np.zeros(0, dtype=np.intp)
+    return WeightedGraph(tuple(nodes), np.ones(n), np.ones(n), empty, empty,
+                         np.zeros(0), np.zeros(0))
+
+
+@st.composite
+def documents(draw):
+    """A nested report with node tables over one or two graphs (one may be
+    empty), plain dicts and lists, and scalars."""
+    graphs = [graph_of(draw(st.lists(ids, unique=True, max_size=6)))
+              for _ in range(2)]
+
+    def table(g):
+        n = g.num_nodes
+        return NodeTable(g, np.array(draw(st.lists(floats, min_size=n,
+                                                   max_size=n)), dtype=float))
+
+    tables = st.sampled_from(graphs).map(table)
+    scalars = st.one_of(floats, st.integers(), st.booleans(), st.none(), ids)
+    tree = st.recursive(
+        st.one_of(scalars, tables),
+        lambda sub: st.one_of(st.lists(sub, max_size=3),
+                              st.dictionaries(ids, sub, max_size=3)),
+        max_leaves=8)
+    return draw(st.dictionaries(ids, tree, max_size=4))
 
 
 class TestRenderJson:
@@ -39,6 +139,24 @@ class TestRenderJson:
         assert reports.render_json(True) == "true"
         assert reports.render_json(1) == "1"
         assert reports.render_json(None) == "null"
+
+
+class TestNodeTableRendering:
+    @settings(deadline=None, max_examples=150)
+    @given(documents())
+    def test_matches_old_renderer(self, doc):
+        old = as_dicts(doc)
+        assert reports.render_json(doc) == old_render_json(old)
+        assert reports.render_human(doc, "title") == old_render_human(old,
+                                                                      "title")
+
+    def test_mapping_view(self):
+        g = graph_of(["a", "b"])
+        table = gh.node_table(g, np.array([1.5, -0.0]))
+        assert table["a"] == 1.5 and set(table) == {"a", "b"}
+        assert dict(table) == {"a": 1.5, "b": -0.0}
+        with pytest.raises(KeyError):
+            table["c"]
 
 
 class TestReportDicts:
