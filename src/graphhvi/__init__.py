@@ -4,9 +4,9 @@ from .calculus import (EmbeddingDiagnostics, SobolevNormReport, difference,
                        embedding_diagnostics, inner_product_nodes,
                        lp_norm_edges, lp_norm_nodes, sobolev_norms,
                        w_hilbert_norm)
-from .graphs import (DegreeRecord, GraphFormatError, WeightedGraph, ball,
-                     degrees, from_data, load_graph, node_function,
-                     node_table, rho_distance, volume)
+from .graphs import (DegreeRecord, GraphFormatError, NodeTable,
+                     WeightedGraph, ball, degrees, from_data, load_graph,
+                     node_function, rho_distance, volume)
 from .operators import (AssembledOperator, LinearSolveError,
                         OperatorConstants, apply, assemble, bilinear_form,
                         constants, solve_spd)
@@ -15,11 +15,9 @@ from .solvers import (Certificate, EllipticProblem, ParabolicProblem,
                       energy, hvi_residual, solve_elliptic, solve_parabolic,
                       sum_directional_bound, sum_functional, verify_inclusion)
 from .superpotential import (GrowthCertificate, PiecewiseDensity,
-                             SubdifferentialInterval, Superpotential,
-                             SuperpotentialSchedule, build,
-                             directional_derivative, growth_certificate,
-                             mollify, relaxed_monotonicity_estimate,
-                             subdifferential)
+                             Superpotential, SuperpotentialSchedule, build,
+                             growth_certificate, mollify,
+                             relaxed_monotonicity_estimate)
 from .exhaustion import (ExhaustionReport, GraphGenerator, WeightLaw,
                          exhaust, truncate)
 

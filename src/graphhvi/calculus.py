@@ -95,7 +95,6 @@ def w_hilbert_norm(g: WeightedGraph, phi: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EmbeddingDiagnostics:
-    ball_finite: bool
     ball_size: int
     tail_mass: float
 
@@ -104,9 +103,7 @@ def embedding_diagnostics(g: WeightedGraph, center: str, r: float,
                           phi: np.ndarray) -> EmbeddingDiagnostics:
     """Mass of ``phi`` outside the open rho-ball of radius ``r`` at ``center``.
 
-    ``tail_mass`` is ``(sum_{w outside ball} |phi(w)|^2 mu(w))^(1/2)``; balls
-    on finite graphs are always finite, so ``ball_finite`` is reported with
-    the ball size.
+    ``tail_mass`` is ``(sum_{w outside ball} |phi(w)|^2 mu(w))^(1/2)``.
     """
     phi = _check_nodes(g, phi)
     if r <= 0:
@@ -115,6 +112,4 @@ def embedding_diagnostics(g: WeightedGraph, center: str, r: float,
     inside = dist < r
     tail = ~inside
     mass = float(np.sqrt(np.sum(phi[tail] ** 2 * g.mu[tail])))
-    return EmbeddingDiagnostics(ball_finite=True,
-                                ball_size=int(inside.sum()),
-                                tail_mass=mass)
+    return EmbeddingDiagnostics(ball_size=int(inside.sum()), tail_mass=mass)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exhaustion, operators, reports, solvers, superpotential
 from .calculus import lp_norm_nodes
-from .graphs import _finite, load_graph, node_function, node_table
+from .graphs import NodeTable, _finite, load_graph, node_function
 
 
 class InputError(ValueError):
@@ -111,7 +111,8 @@ def _build_parabolic(g, sp, f, parabolic):
         f = np.stack([_checked(f"f_table[{k}]", node_function, g, row)
                       for k, row in enumerate(table)])
     if "sp_schedule" in parabolic:
-        sp = superpotential.schedule_from_document(parabolic["sp_schedule"])
+        sp = _checked("sp_schedule", superpotential.schedule_from_document,
+                      parabolic["sp_schedule"])
     T = float(_number(parabolic["T"], numbers.Real, "T"))
     return solvers.ParabolicProblem(graph=g, sp=sp, f=f, phi0=phi0, T=T,
                                     steps=steps)
@@ -126,12 +127,6 @@ def _emit(doc: dict, args, title: str) -> None:
         reports.write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _apply_overrides(opts, args):
-    if getattr(args, "tol", None) is not None:
-        opts = dataclasses.replace(opts, tol=args.tol)
-    return opts
 
 
 def cmd_validate(args) -> int:
@@ -154,7 +149,8 @@ def cmd_certify(args) -> int:
 
 def cmd_solve_elliptic(args) -> int:
     g, sp, f, _, opts = load_problem(args.problem)
-    opts = _apply_overrides(opts, args)
+    if args.tol is not None:
+        opts = dataclasses.replace(opts, tol=args.tol)
     rep = solvers.solve_elliptic(solvers.EllipticProblem(g, sp, f), opts)
     _emit(reports.solve_report_dict(g, rep), args, "elliptic solve")
     return 0 if rep.converged else 1
@@ -164,7 +160,8 @@ def cmd_solve_parabolic(args) -> int:
     g, sp, f, parabolic, opts = load_problem(args.problem)
     if parabolic is None:
         raise InputError(f"{args.problem}: missing 'parabolic' section")
-    opts = _apply_overrides(opts, args)
+    if args.tol is not None:
+        opts = dataclasses.replace(opts, tol=args.tol)
     problem = _build_parabolic(g, sp, f, parabolic)
     res = solvers.solve_parabolic(problem, opts)
     _emit(reports.parabolic_report_dict(g, res), args, "parabolic solve")
@@ -178,7 +175,7 @@ def cmd_verify(args) -> int:
     doc = {
         "schema_version": reports.SCHEMA_VERSION,
         "residual_norm": lp_norm_nodes(g, resid, 2.0),
-        "residual": node_table(g, resid),
+        "residual": NodeTable(g, resid),
     }
     _emit(doc, args, "inclusion verification")
     return 0
@@ -202,7 +199,7 @@ def cmd_exhaust(args) -> int:
         "level_sizes": [g.num_nodes for g in rep.graphs],
         "increments": rep.increments,
         "tail_masses": rep.tail_masses,
-        "final_solution": node_table(rep.graphs[-1], rep.solutions[-1].phi),
+        "final_solution": NodeTable(rep.graphs[-1], rep.solutions[-1].phi),
         "final_residual_norm": rep.solutions[-1].residual_norm,
     }
     _emit(out, args, "exhaustion study")

@@ -191,13 +191,11 @@ def truncate(gen: GraphGenerator, r: float,
     node_depth = np.repeat(range(n), sizes)
     mu, kappa = (_depth_weights(gen, w, n)[node_depth]
                  for w in ("mu", "kappa"))
-    # each adjacency (shallower, deeper) in both orientations, consecutively
+    # each adjacency is (shallower, deeper)
     a, b = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    rho, gamma = (np.repeat(_depth_weights(gen, w, n - 1)[node_depth[a]], 2)
+    rho, gamma = (_depth_weights(gen, w, n - 1)[node_depth[a]]
                   for w in ("rho", "gamma"))
-    return WeightedGraph(tuple(ids), mu, kappa,
-                         np.column_stack([a, b]).ravel(),
-                         np.column_stack([b, a]).ravel(), rho, gamma)
+    return WeightedGraph.undirected(ids, mu, kappa, a, b, rho, gamma)
 
 
 def load_vector(gen: GraphGenerator, g: WeightedGraph,

@@ -61,6 +61,14 @@ class WeightedGraph:
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(self.nodes)})
 
+    @classmethod
+    def undirected(cls, nodes, mu, kappa, a, b, rho, gamma) -> WeightedGraph:
+        """Each adjacency ``(a[k], b[k])`` in both orientations, consecutively,
+        each with weights ``rho[k]`` and ``gamma[k]``."""
+        return cls(tuple(nodes), mu, kappa, np.column_stack((a, b)).ravel(),
+                   np.column_stack((b, a)).ravel(), np.repeat(rho, 2),
+                   np.repeat(gamma, 2))
+
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
@@ -151,11 +159,7 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
         ("reference to unknown node", (ia < 0) | (ib < 0)),
         ("duplicate adjacency", dup), _weight("rho", rho),
         _weight("gamma", gamma)])
-    return WeightedGraph(
-        nodes=tuple(ids), mu=mu, kappa=kappa,
-        edge_src=np.column_stack((ia, ib)).ravel(),
-        edge_dst=np.column_stack((ib, ia)).ravel(),
-        rho=np.repeat(rho, 2), gamma=np.repeat(gamma, 2))
+    return WeightedGraph.undirected(ids, mu, kappa, ia, ib, rho, gamma)
 
 
 def _records(recs: list, keys: tuple, kind: str) -> list:
@@ -238,9 +242,6 @@ class NodeTable(Mapping):
         return self.graph.num_nodes
 
 
-node_table = NodeTable
-
-
 @dataclass(frozen=True)
 class DegreeRecord:
     deg_out: float
@@ -265,12 +266,7 @@ def _rho_matrix(g: WeightedGraph):
 
 def distances_from(g: WeightedGraph, center: str) -> np.ndarray:
     """Shortest-path rho-distance from ``center`` to every node (inf if none)."""
-    i = g.node_index(center)
-    if g.num_edges == 0:
-        d = np.full(g.num_nodes, np.inf)
-        d[i] = 0.0
-        return d
-    return dijkstra(_rho_matrix(g), indices=i)
+    return dijkstra(_rho_matrix(g), indices=g.node_index(center))
 
 
 def rho_distance(g: WeightedGraph, v: str, w: str) -> float:

@@ -30,8 +30,6 @@ class LinearSolveError(RuntimeError):
 class AssembledOperator:
     graph: WeightedGraph
     stiffness: sparse.csr_matrix   # K, symmetric PSD, zero row sums
-    kappa: np.ndarray              # diagonal of C
-    mu: np.ndarray                 # diagonal of M
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,13 @@ def assemble(g: WeightedGraph) -> AssembledOperator:
         K = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     else:
         K = sparse.csr_matrix((n, n))
-    return AssembledOperator(graph=g, stiffness=K, kappa=g.kappa, mu=g.mu)
+    return AssembledOperator(graph=g, stiffness=K)
 
 
 def apply(opr: AssembledOperator, phi: np.ndarray) -> np.ndarray:
     """Pointwise operator value ``M^-1 (K + C) phi``."""
-    phi = _check_nodes(opr.graph, phi)
-    return (opr.stiffness @ phi + opr.kappa * phi) / opr.mu
+    g, phi = opr.graph, _check_nodes(opr.graph, phi)
+    return (opr.stiffness @ phi + g.kappa * phi) / g.mu
 
 
 def bilinear_form(opr: AssembledOperator, phi: np.ndarray,
@@ -93,19 +91,20 @@ def constants(g: WeightedGraph) -> OperatorConstants:
     )
 
 
-def _pcg(matvec, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray | None,
-         tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    """Diagonally preconditioned conjugate gradients.
+def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
+         max_iter: int) -> tuple[np.ndarray, float, int]:
+    """Conjugate gradients on ``A + diag(d)``, preconditioned by its diagonal.
 
     Stops when the unpreconditioned residual satisfies
-    ``||A x - rhs|| <= tol * ||rhs||``.  Deterministic for fixed inputs.
+    ``||(A + diag(d)) x - rhs|| <= tol * ||rhs||``.  Deterministic for fixed
+    inputs.
     """
     nb = math.sqrt(rhs @ rhs)  # what np.linalg.norm computes for 1-d input
     if nb == 0.0:
         return np.zeros_like(rhs), 0.0, 0
-    x = np.zeros_like(rhs) if x0 is None else x0.astype(float, copy=True)
-    r = rhs - matvec(x)
-    inv_d = 1.0 / diag
+    x = np.zeros_like(rhs)
+    r = rhs - (A @ x + d * x)
+    inv_d = 1.0 / (A.diagonal() + d)
     z = inv_d * r
     p = z.copy()
     rz = float(r @ z)
@@ -113,7 +112,7 @@ def _pcg(matvec, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray | None,
     stop = tol * nb
     it = 0
     while nr > stop and it < max_iter:
-        Ap = matvec(p)
+        Ap = A @ p + d * p
         pAp = float(p @ Ap)
         if not pAp > 0.0:  # breakdown: p @ Ap underflows or A is not SPD
             break
@@ -131,25 +130,22 @@ def _pcg(matvec, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray | None,
 
 
 def solve_spd(opr: AssembledOperator, shift: np.ndarray, rhs: np.ndarray,
-              tol: float = 1e-12, max_iter: int = 10000,
-              x0: np.ndarray | None = None) -> np.ndarray:
+              tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
     """Solve ``(K + C + diag(shift)) phi = rhs`` by preconditioned CG.
 
     ``shift`` entries must be nonnegative.  Raises :class:`LinearSolveError`
     when the relative-residual contract cannot be met within ``max_iter``.
     """
     shift = np.asarray(shift, dtype=float)
-    if shift.shape != opr.kappa.shape:
+    if shift.shape != opr.graph.kappa.shape:
         raise ValueError("shift diagonal has wrong shape")
     if np.any(shift < 0):
         raise ValueError("shift diagonal must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
     rhs = _check_nodes(opr.graph, rhs)
-    diag = opr.kappa + shift
-    K = opr.stiffness
-    x, rel, _ = _pcg(lambda v: K @ v + diag * v,
-                     K.diagonal() + diag, rhs, x0, tol, max_iter)
+    x, rel, _ = _pcg(opr.stiffness, opr.graph.kappa + shift, rhs, tol,
+                     max_iter)
     if rel > tol:
         raise LinearSolveError(
             f"PCG did not converge: relative residual {rel:.3e} > {tol:.3e}",

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import NodeTable, WeightedGraph, degrees, node_table, volume
+from .graphs import NodeTable, WeightedGraph, degrees, volume
 from .operators import constants
 from .solvers import ParabolicResult, SolveReport
 
@@ -72,9 +72,9 @@ def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "converged": rep.converged,
         "residual_norm": rep.residual_norm,
-        "solution": node_table(g, rep.phi),
-        "xi": node_table(g, rep.xi),
-        "residual": node_table(g, rep.inclusion_residual),
+        "solution": NodeTable(g, rep.phi),
+        "xi": NodeTable(g, rep.xi),
+        "residual": NodeTable(g, rep.inclusion_residual),
         "norms": asdict(rep.norms),
         "constants": asdict(rep.constants),
         "certificates": [asdict(c) for c in rep.certificates],
@@ -87,9 +87,9 @@ def parabolic_report_dict(g: WeightedGraph, res: ParabolicResult) -> dict:
         "schema_version": SCHEMA_VERSION,
         "converged": res.converged,
         "times": res.times.tolist(),
-        "states": [node_table(g, row) for row in res.states],
+        "states": [NodeTable(g, row) for row in res.states],
         "step_residual_norms": [r.residual_norm for r in res.reports],
-        "constants": asdict(res.reports[-1].constants) if res.reports else {},
+        "constants": asdict(res.reports[-1].constants),
     }
 
 

@@ -62,6 +62,9 @@ class ParabolicProblem:
         object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))
         f = np.asarray(self.f, dtype=float)
         n = self.graph.num_nodes
+        if (self.steps + 1) * n * 8 > np.iinfo(np.intp).max:  # float bytes
+            raise ValueError("steps is too large: the trajectory exceeds "
+                             "numpy's maximum array size")
         if f.shape == (n,):
             f = np.broadcast_to(f, (self.steps, n))
         elif f.shape != (self.steps, n):
@@ -161,8 +164,7 @@ def hvi_residual(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
         raise ValueError(f"test set shape {psi.shape} does not match graph "
                          f"with {g.num_nodes} nodes")
     d = psi - phi
-    lo, hi = sp.interval(phi)
-    return (d @ (g.mu * defect) + np.maximum(lo * d, hi * d) @ g.mu).tolist()
+    return (d @ (g.mu * defect) + sp.directional(phi, d) @ g.mu).tolist()
 
 
 def energy(g: WeightedGraph, sp: Superpotential, f: np.ndarray,
@@ -244,7 +246,7 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     density = sp.density
     bp = density.breakpoints
     ends = np.concatenate(([-np.inf], bp, [np.inf]))  # piece p: ends[p:p+2]
-    K, kappa, mu = opr.stiffness, opr.kappa, opr.mu
+    K, kappa, mu = opr.stiffness, opr.graph.kappa, opr.graph.mu
     n = len(phi)
     s = (np.searchsorted(bp, phi, side="left")
          + np.searchsorted(bp, phi, side="right"))
@@ -283,9 +285,7 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         diag = kappa[free] + mu[free] * density.derivative(x, piece)
         diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
         Kf = K if len(free) == n else K[free][:, free]
-        dx, _, iters = _pcg(lambda v: Kf @ v + diag * v,
-                            Kf.diagonal() + diag, -r, None, 1e-13,
-                            4 * len(free) + 200)
+        dx, _, iters = _pcg(Kf, diag, -r, 1e-13, 4 * len(free) + 200)
         left, right = ends[piece], ends[piece + 1]
 
         def move(alpha):
@@ -343,7 +343,7 @@ def solve_parabolic(problem: ParabolicProblem,
     try:
         times = np.linspace(0.0, problem.T, problem.steps + 1)
         states = np.empty((problem.steps + 1, g.num_nodes))
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: numpy's size limit
         raise ValueError(f"steps = {problem.steps} is too large: the "
                          "trajectory does not fit in memory") from None
     tau = problem.T / problem.steps

@@ -19,6 +19,9 @@ from numpy.polynomial import polynomial as P
 
 from .graphs import _finite
 
+_GRID = 129       # lattice points on [-r, r] among the extremum candidates
+_SAMPLES = 200    # lattice points on [-r, r] of the relaxed-monotonicity pairs
+
 
 def _table(polys) -> np.ndarray:
     """Coefficient k of polynomial i at ``[k, i]``, zero-padded."""
@@ -114,12 +117,6 @@ class PiecewiseDensity:
 
 
 @dataclass(frozen=True)
-class SubdifferentialInterval:
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
 class GrowthCertificate:
     """Certified constant alpha with max(|dj(s)|) <= alpha*(1+|s|) on [-r, r].
 
@@ -163,17 +160,12 @@ class Superpotential:
 
     def lipschitz_bound(self, r: float) -> float:
         """sup over [-r, r] of max(|lo|, |hi|) of the subdifferential."""
-        cand = _extremum_candidates(self.density, r)
-        lo, hi = self.interval(cand)
-        return float(np.max(np.maximum(np.abs(lo), np.abs(hi)), initial=0.0))
+        return _sup_abs(self.density, r)
 
     def derivative_bound(self, r: float) -> float:
         """sup over [-r, r] of |beta'|, one-sided limits at breakpoints."""
-        der = PiecewiseDensity(self.density.breakpoints,
-                               tuple(P.polyder(c) for c in self.density.pieces))
-        cand = _extremum_candidates(der, r)
-        left, right = der.one_sided(cand)
-        return float(np.max(np.maximum(np.abs(left), np.abs(right)), initial=0.0))
+        return _sup_abs(PiecewiseDensity(self.density.breakpoints, tuple(
+            P.polyder(c) for c in self.density.pieces)), r)
 
 
 def build(density: PiecewiseDensity) -> Superpotential:
@@ -198,17 +190,6 @@ def build(density: PiecewiseDensity) -> Superpotential:
     return Superpotential(density=density, antiderivative=tuple(anti))
 
 
-def subdifferential(sp: Superpotential, t: float) -> SubdifferentialInterval:
-    """Interval [lo, hi] of the filled-in subdifferential at t."""
-    lo, hi = sp.interval(np.asarray([t]))
-    return SubdifferentialInterval(float(lo[0]), float(hi[0]))
-
-
-def directional_derivative(sp: Superpotential, s: float, d: float) -> float:
-    """j°(s; d) = max(lo*d, hi*d) over the subdifferential interval at s."""
-    return float(sp.directional(np.asarray([s]), np.asarray([d]))[0])
-
-
 def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
     coef = np.atleast_1d(coef)
     # drop leading coefficients that are 0 or so tiny the companion overflows
@@ -220,30 +201,35 @@ def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
     return roots[(roots > a) & (roots < b)]
 
 
-def _extremum_candidates(density: PiecewiseDensity, r: float,
-                         grid: int = 129) -> np.ndarray:
+def _pieces_within(density: PiecewiseDensity, r: float):
+    """Each piece's coefficients with its nonempty part ``(a, b)`` of [-r, r]."""
+    bp = density.breakpoints
+    bounds = np.concatenate(([-r], np.clip(bp, -r, r), [r]))
+    for c, a, b in zip(density.pieces, bounds[:-1], bounds[1:]):
+        if a < b:
+            yield c, a, b
+
+
+def _extremum_candidates(density: PiecewiseDensity, r: float) -> np.ndarray:
     """Breakpoints, clipped piece endpoints, piece critical points, and a grid."""
     bp = density.breakpoints
-    cand = [np.linspace(-r, r, grid), bp[(bp >= -r) & (bp <= r)]]
-    bounds = np.concatenate(([-r], np.clip(bp, -r, r), [r]))
-    for i, c in enumerate(density.pieces):
-        a, b = bounds[i], bounds[i + 1]
-        if a < b:
-            cand.append(_real_roots(P.polyder(c), a, b))
+    cand = [np.linspace(-r, r, _GRID), bp[(bp >= -r) & (bp <= r)]]
+    for c, a, b in _pieces_within(density, r):
+        cand.append(_real_roots(P.polyder(c), a, b))
     return np.unique(np.concatenate(cand))
+
+
+def _sup_abs(density: PiecewiseDensity, r: float) -> float:
+    """sup over [-r, r] of |density|, one-sided limits at breakpoints."""
+    left, right = density.one_sided(_extremum_candidates(density, r))
+    return float(np.max(np.maximum(np.abs(left), np.abs(right)), initial=0.0))
 
 
 def _growth_ratio_max(sp: Superpotential, r: float) -> float:
     """max over [-r, r] of max(|lo|, |hi|) / (1 + |t|)."""
-    density = sp.density
-    cand = [_extremum_candidates(density, r), np.asarray([0.0])]
+    cand = [_extremum_candidates(sp.density, r), np.asarray([0.0])]
     # critical points of p(s)/(1 +/- s) on each signed segment of each piece
-    bp = density.breakpoints
-    bounds = np.concatenate(([-r], np.clip(bp, -r, r), [r]))
-    for i, c in enumerate(density.pieces):
-        a, b = bounds[i], bounds[i + 1]
-        if a >= b:
-            continue
+    for c, a, b in _pieces_within(sp.density, r):
         dc = P.polyder(c)
         if b > 0:  # d/ds p/(1+s) = 0  <=>  (1+s) p' - p = 0
             q = P.polysub(P.polymul(np.array([1.0, 1.0]), dc), c)
@@ -287,8 +273,7 @@ def growth_certificate(sp: Superpotential, r: float) -> GrowthCertificate:
     return GrowthCertificate(alpha_j=alpha, r=r, global_bound=True)
 
 
-def relaxed_monotonicity_estimate(sp: Superpotential, r: float,
-                                  samples: int = 200) -> float:
+def relaxed_monotonicity_estimate(sp: Superpotential, r: float) -> float:
     """Lattice lower estimate of the relaxed-monotonicity constant.
 
     Maximizes ``(j°(s; t-s) + j°(t; s-t)) / |t-s|^2`` over sampled pairs in
@@ -297,18 +282,15 @@ def relaxed_monotonicity_estimate(sp: Superpotential, r: float,
     """
     if r <= 0:
         raise ValueError("range must be positive")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     bp = sp.density.breakpoints
-    pts = [np.linspace(-r, r, samples)]
+    pts = [np.linspace(-r, r, _SAMPLES)]
     for off in (0.0, 1e-6, 1e-3):
         pts.append(bp + off)
         pts.append(bp - off)
     lat = np.unique(np.clip(np.concatenate(pts), -r, r))
-    lo, hi = sp.interval(lat)
     d = lat[None, :] - lat[:, None]  # t - s
-    fwd = np.maximum(lo[:, None] * d, hi[:, None] * d)    # j°(s; t-s)
-    bwd = np.maximum(-lo[None, :] * d, -hi[None, :] * d)  # j°(t; s-t)
+    fwd = sp.directional(lat[:, None], d)   # j°(s; t-s)
+    bwd = sp.directional(lat[None, :], -d)  # j°(t; s-t)
     mask = np.abs(d) > 1e-12
     ratio = (fwd + bwd)[mask] / d[mask] ** 2
     return max(0.0, float(np.max(ratio, initial=0.0)))

@@ -103,7 +103,6 @@ class TestEmbeddingDiagnostics:
             [("a", "b", 1.0, 1.0), ("b", "c", 1.0, 1.0)],
         )
         diag = gh.embedding_diagnostics(g, "a", 1.5, np.array([1.0, 1.0, 3.0]))
-        assert diag.ball_finite
         assert diag.ball_size == 2
         # tail holds only c: sqrt(3^2 * 4)
         assert diag.tail_mass == pytest.approx(6.0)

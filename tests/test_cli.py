@@ -328,12 +328,15 @@ class TestSolveParabolic:
         ("sp_schedule", [{"until": math.nan, "density": QUAD_SP}]),
         ("T", 1e-320),
         ("steps", 10**17),  # about 711 PiB of trajectory: refused at once
+        # beyond numpy's array size: refused before anything is allocated
+        pytest.param("steps", 10**30, id="steps-10**30"),
+        pytest.param("steps", BIG, id="steps-10**400"),
     ])
     def test_malformed_fields(self, workspace, capsys, key, value):
         path = self.problem(workspace, **{key: value})
         code, _, err = run(["solve-parabolic", "--problem", path], capsys)
         assert code == 2
-        assert "error:" in err
+        assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize("key, value", [
         ("T", BIG), ("phi0", {"v": BIG}), ("f_table", [{"v": 1.0}] * 7

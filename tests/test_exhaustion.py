@@ -375,7 +375,7 @@ class TestExhaust:
                                           {"value": 1.0, "ratio": 0.5}))
         rep = exhaust(gen, abs_density(0.3), constant(1.0), [2, 4, 8], 1e-4)
         for i, (small, large) in enumerate(zip(rep.graphs, rep.graphs[1:])):
-            table = gh.node_table(large, rep.solutions[i + 1].phi)
+            table = gh.NodeTable(large, rep.solutions[i + 1].phi)
             diff = np.array([table[v] for v in small.nodes])
             diff -= rep.solutions[i].phi
             assert rep.increments[i] == gh.sobolev_norms(small,

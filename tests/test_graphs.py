@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphhvi as gh
-from graphhvi.graphs import GraphFormatError
+from graphhvi.graphs import GraphFormatError, distances_from
 
 from conftest import make_random_graph
 
@@ -151,7 +151,7 @@ class TestNodeFunctions:
     def test_node_table_roundtrip(self):
         g = triangle()
         phi = np.array([0.5, -1.0, 2.5])
-        table = gh.node_table(g, phi)
+        table = gh.NodeTable(g, phi)
         np.testing.assert_allclose(gh.node_function(g, table), phi)
 
 
@@ -179,6 +179,9 @@ class TestMetricStructure:
     def test_disconnected_distance_is_inf(self):
         g = gh.from_data([("a", 1, 1), ("b", 1, 1)], [])
         assert gh.rho_distance(g, "a", "b") == np.inf
+        # an edgeless graph: 0 at the centre, inf elsewhere
+        d = distances_from(g, "b")
+        assert d.dtype == float and d.tolist() == [np.inf, 0.0]
 
     def test_ball_is_strict(self):
         g = self.path3()

@@ -152,7 +152,7 @@ class TestNodeTableRendering:
 
     def test_mapping_view(self):
         g = graph_of(["a", "b"])
-        table = gh.node_table(g, np.array([1.5, -0.0]))
+        table = gh.NodeTable(g, np.array([1.5, -0.0]))
         assert table["a"] == 1.5 and set(table) == {"a", "b"}
         assert dict(table) == {"a": 1.5, "b": -0.0}
         with pytest.raises(KeyError):
