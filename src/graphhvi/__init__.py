@@ -17,7 +17,7 @@ from .solvers import (Certificate, EllipticProblem, ParabolicProblem,
 from .superpotential import (GrowthCertificate, PiecewiseDensity,
                              Superpotential, SuperpotentialSchedule, build,
                              growth_certificate, mollify,
-                             relaxed_monotonicity_estimate)
+                             relaxed_monotonicity_constant)
 from .exhaustion import (ExhaustionReport, GraphGenerator, WeightLaw,
                          exhaust, truncate)
 

@@ -40,10 +40,8 @@ def difference(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
 def _weighted_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1 (or inf)")
-    if len(values) == 0:
-        return 0.0
     if math.isinf(p):
-        return float(np.max(np.abs(values) * weights))
+        return float(np.max(np.abs(values) * weights, initial=0.0))
     return float(np.sum(np.abs(values) ** p * weights) ** (1.0 / p))
 
 

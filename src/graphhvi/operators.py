@@ -48,13 +48,10 @@ class OperatorConstants:
 def assemble(g: WeightedGraph) -> AssembledOperator:
     """Sparse K, C, M in canonical node order."""
     n = g.num_nodes
-    if g.num_edges:
-        rows = np.concatenate([g.edge_src, g.edge_src])
-        cols = np.concatenate([g.edge_src, g.edge_dst])
-        vals = np.concatenate([g.gamma, -g.gamma])
-        K = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        K = sparse.csr_matrix((n, n))
+    rows = np.concatenate([g.edge_src, g.edge_src])
+    cols = np.concatenate([g.edge_src, g.edge_dst])
+    vals = np.concatenate([g.gamma, -g.gamma])
+    K = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return AssembledOperator(graph=g, stiffness=K)
 
 
@@ -76,11 +73,9 @@ def bilinear_form(opr: AssembledOperator, phi: np.ndarray,
 
 
 def constants(g: WeightedGraph) -> OperatorConstants:
-    if g.num_edges:
-        ratios = g.gamma / g.rho
-        g_lo, g_hi = float(ratios.min()), float(ratios.max())
-    else:
-        g_lo, g_hi = math.inf, 0.0
+    ratios = g.gamma / g.rho
+    g_lo = float(ratios.min(initial=math.inf))
+    g_hi = float(ratios.max(initial=0.0))
     kr = g.kappa / g.mu
     k_lo, k_hi = float(kr.min()), float(kr.max())
     return OperatorConstants(
@@ -139,14 +134,14 @@ def solve_spd(opr: AssembledOperator, shift: np.ndarray, rhs: np.ndarray,
     shift = np.asarray(shift, dtype=float)
     if shift.shape != opr.graph.kappa.shape:
         raise ValueError("shift diagonal has wrong shape")
-    if np.any(shift < 0):
-        raise ValueError("shift diagonal must be nonnegative")
+    if not np.all(np.isfinite(shift) & (shift >= 0)):
+        raise ValueError("shift diagonal must be finite and nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
     rhs = _check_nodes(opr.graph, rhs)
     x, rel, _ = _pcg(opr.stiffness, opr.graph.kappa + shift, rhs, tol,
                      max_iter)
-    if rel > tol:
+    if not rel <= tol:  # also a NaN residual from non-finite input
         raise LinearSolveError(
             f"PCG did not converge: relative residual {rel:.3e} > {tol:.3e}",
             residual=rel)

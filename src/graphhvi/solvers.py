@@ -28,7 +28,7 @@ from .operators import (AssembledOperator, OperatorConstants, _pcg, apply,
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify
 from .superpotential import (Superpotential, SuperpotentialSchedule,  # noqa
                              growth_certificate, mollify,
-                             relaxed_monotonicity_estimate)
+                             relaxed_monotonicity_constant)
 
 
 @dataclass(frozen=True)
@@ -175,26 +175,25 @@ def energy(g: WeightedGraph, sp: Superpotential, f: np.ndarray,
             - inner_product_nodes(g, f, phi))
 
 
-def default_certificate_range(g: WeightedGraph, f: np.ndarray) -> float:
+def default_certificate_range(g: WeightedGraph, f: np.ndarray,
+                              c: OperatorConstants) -> float:
     """A priori sup-norm bound on the solution, from ||f|| and coercivity."""
-    c = constants(g)
     fn = lp_norm_nodes(g, f, 2.0)
     return float((1.0 + 2.0 * fn / c.m_coercive) / math.sqrt(g.mu.min()))
 
 
 def certify(problem: EllipticProblem) -> list[Certificate]:
-    """Existence-smallness and uniqueness certificates (both advisory).
+    """Existence-smallness and uniqueness certificates.
 
     The comparison margin is ``m_coercive / 2`` with the data-derived
-    coercivity constant; the uniqueness side uses the lattice lower
-    estimate of the relaxed-monotonicity constant on [-r, r].
+    coercivity constant; the uniqueness side uses the exact
+    relaxed-monotonicity constant on [-r, r].
     """
     g, sp = problem.graph, problem.sp
-    r = default_certificate_range(g, problem.f)
     c = constants(g)
+    r = default_certificate_range(g, problem.f, c)
     margin = 0.5 * c.m_coercive
     gc = growth_certificate(sp, r)
-    a_j0 = relaxed_monotonicity_estimate(sp, r)
     scope = "global" if gc.global_bound else f"range [-{r:g}, {r:g}] only"
     existence = Certificate(
         kind="existence-smallness",
@@ -202,13 +201,13 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
         lhs=gc.alpha_j, rhs=margin,
         note=f"growth constant ({scope}) vs margin m_coercive/2",
     )
-    uniq_lhs = max(a_j0, gc.alpha_j)
+    uniq_lhs = max(relaxed_monotonicity_constant(sp, r), gc.alpha_j)
     uniqueness = Certificate(
         kind="uniqueness",
         satisfied=uniq_lhs < margin,
         lhs=uniq_lhs, rhs=margin,
-        note=("max(relaxed-monotonicity lattice estimate, growth constant) "
-              "vs margin m_coercive/2; the estimate is a lower bound"),
+        note=("max(relaxed-monotonicity constant, growth constant) "
+              "vs margin m_coercive/2"),
     )
     return [existence, uniqueness]
 

@@ -20,7 +20,6 @@ from numpy.polynomial import polynomial as P
 from .graphs import _finite
 
 _GRID = 129       # lattice points on [-r, r] among the extremum candidates
-_SAMPLES = 200    # lattice points on [-r, r] of the relaxed-monotonicity pairs
 
 
 def _table(polys) -> np.ndarray:
@@ -164,8 +163,7 @@ class Superpotential:
 
     def derivative_bound(self, r: float) -> float:
         """sup over [-r, r] of |beta'|, one-sided limits at breakpoints."""
-        return _sup_abs(PiecewiseDensity(self.density.breakpoints, tuple(
-            P.polyder(c) for c in self.density.pieces)), r)
+        return _sup_abs(_derivative_density(self.density), r)
 
 
 def build(density: PiecewiseDensity) -> Superpotential:
@@ -217,6 +215,12 @@ def _extremum_candidates(density: PiecewiseDensity, r: float) -> np.ndarray:
     for c, a, b in _pieces_within(density, r):
         cand.append(_real_roots(P.polyder(c), a, b))
     return np.unique(np.concatenate(cand))
+
+
+def _derivative_density(density: PiecewiseDensity) -> PiecewiseDensity:
+    """beta' on the same breakpoints."""
+    return PiecewiseDensity(density.breakpoints,
+                            tuple(P.polyder(c) for c in density.pieces))
 
 
 def _sup_abs(density: PiecewiseDensity, r: float) -> float:
@@ -273,27 +277,21 @@ def growth_certificate(sp: Superpotential, r: float) -> GrowthCertificate:
     return GrowthCertificate(alpha_j=alpha, r=r, global_bound=True)
 
 
-def relaxed_monotonicity_estimate(sp: Superpotential, r: float) -> float:
-    """Lattice lower estimate of the relaxed-monotonicity constant.
+def relaxed_monotonicity_constant(sp: Superpotential, r: float) -> float:
+    """Smallest m >= 0 with ``(xi - eta)(s - t) >= -m |s - t|^2`` for all
+    s, t in [-r, r], xi in dj(s) and eta in dj(t).
 
-    Maximizes ``(j°(s; t-s) + j°(t; s-t)) / |t-s|^2`` over sampled pairs in
-    [-r, r] (grid plus breakpoints with small offsets), floored at 0.  This
-    is a lower estimate of the true constant.
+    +inf if a downward jump (left limit above right limit) lies in
+    [-r, r]; otherwise ``max(0, -min beta')`` over [-r, r], with one-sided
+    limits at breakpoints.
     """
     if r <= 0:
         raise ValueError("range must be positive")
-    bp = sp.density.breakpoints
-    pts = [np.linspace(-r, r, _SAMPLES)]
-    for off in (0.0, 1e-6, 1e-3):
-        pts.append(bp + off)
-        pts.append(bp - off)
-    lat = np.unique(np.clip(np.concatenate(pts), -r, r))
-    d = lat[None, :] - lat[:, None]  # t - s
-    fwd = sp.directional(lat[:, None], d)   # j°(s; t-s)
-    bwd = sp.directional(lat[None, :], -d)  # j°(t; s-t)
-    mask = np.abs(d) > 1e-12
-    ratio = (fwd + bwd)[mask] / d[mask] ** 2
-    return max(0.0, float(np.max(ratio, initial=0.0)))
+    if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
+        return math.inf
+    deriv = _derivative_density(sp.density)
+    left, right = deriv.one_sided(_extremum_candidates(deriv, r))
+    return max(0.0, -float(np.min(np.minimum(left, right))))
 
 
 def mollify(sp: Superpotential, h: float) -> Superpotential:

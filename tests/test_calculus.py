@@ -34,6 +34,8 @@ class TestDifference:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             gh.difference(two_node(), np.zeros(3))
+        with pytest.raises(ValueError, match="with 2 directed edges"):
+            gh.lp_norm_edges(two_node(), np.zeros(3))
 
 
 class TestNorms:

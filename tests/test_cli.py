@@ -77,6 +77,9 @@ class TestValidate:
         path.write_text("{not json")
         code, _, err = run(["validate", "--graph", str(path)], capsys)
         assert code == 2
+        code, _, err = run(["solve-elliptic", "--problem", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: invalid JSON")
 
     def test_directory_as_graph(self, tmp_path, capsys):
         code, _, err = run(["validate", "--graph", str(tmp_path)], capsys)
@@ -202,6 +205,16 @@ class TestSolveElliptic:
         code, _, err = run(["solve-elliptic", "--problem", path], capsys)
         assert code == 2
         assert "unknown keys" in err
+        for doc, message in [
+                ([], "problem document must be an object"),
+                ({"graph": "graph.json", "superpotential": ABS_SP},
+                 "missing required key 'f'"),
+                ({"graph": 3, "superpotential": ABS_SP, "f": {"v": 1.0}},
+                 "'graph' must be a file name")]:
+            path = write(workspace / "broken.json", doc)
+            code, _, err = run(["solve-elliptic", "--problem", path], capsys)
+            assert code == 2
+            assert err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("mu, load", [(math.inf, 2.0), (True, 2.0),
                                           (1.0, math.nan), (1.0, {})],
@@ -314,6 +327,14 @@ class TestSolveParabolic:
         assert len(doc["times"]) == 9
         assert len(doc["states"]) == 9
         assert doc["states"][0]["v"] == 1.0
+        code, out, _ = run(["solve-parabolic", "--problem",
+                            self.problem(workspace), "--tol", "1e-10"], capsys)
+        assert code == 0
+        assert max(json.loads(out)["step_residual_norms"]) <= 1e-10
+        code, _, err = run(["solve-parabolic", "--problem",
+                            self.problem(workspace), "--tol", "0"], capsys)
+        assert code == 2
+        assert err == "error: tol must be positive and finite\n"
 
     def test_f_table_length_mismatch(self, workspace, capsys):
         path = self.problem(workspace, f_table=[{"v": 1.0}] * 3)

@@ -400,6 +400,8 @@ class TestDocuments:
     def test_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown keys"):
             generator_from_document({**self.DOC, "color": "red"})
+        with pytest.raises(ValueError, match="must be an object"):
+            generator_from_document([self.DOC])
 
     def test_missing_weights(self):
         bad = {k: v for k, v in self.DOC.items() if k != "weights"}

@@ -32,6 +32,8 @@ class TestFromData:
         np.testing.assert_allclose(g.mu, [1.0, 0.5, 2.0])
         np.testing.assert_allclose(g.kappa, [2.0, 1.0, 0.25])
         assert g.node_index("b") == 1
+        with pytest.raises(GraphFormatError, match="unknown node id: 'z'"):
+            g.node_index("z")
         assert g.mu_total == 3.5
 
     def test_orientation_symmetry(self):
@@ -120,6 +122,10 @@ class TestLoadGraph:
     def test_missing_nodes(self):
         with pytest.raises(GraphFormatError, match="missing 'nodes'"):
             gh.load_graph({"adjacencies": []})
+        with pytest.raises(GraphFormatError, match="must be a JSON object"):
+            gh.load_graph([{"id": "a"}])
+        with pytest.raises(GraphFormatError, match="must be lists"):
+            gh.load_graph({"nodes": {"a": 1.0}})
 
 
 class TestNodeFunctions:

@@ -142,6 +142,14 @@ class TestSolveSPD:
             solve_spd(opr, np.zeros(g.num_nodes + 1), rhs)
         with pytest.raises(ValueError, match="tol"):
             solve_spd(opr, np.zeros(g.num_nodes), rhs, tol=0.0)
+        two = assemble(gh.from_data([("a", 1, 1), ("b", 1, 1)],
+                                    [("a", "b", 1, 1)]))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                solve_spd(two, np.array([bad, 0.0]), np.ones(2))
+            # a non-finite load makes the relative residual NaN
+            with pytest.raises(LinearSolveError):
+                solve_spd(two, np.zeros(2), np.array([bad, 1.0]))
 
     def test_iteration_budget_failure(self):
         g = make_random_graph(np.random.default_rng(15), max_nodes=30)

@@ -1,6 +1,7 @@
 """Elliptic and parabolic inclusion solvers against closed-form oracles."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestFunctionals:
     def test_default_certificate_range_positive(self):
         g = make_random_graph(np.random.default_rng(0), max_nodes=10)
         f = np.ones(g.num_nodes)
-        assert default_certificate_range(g, f) > 1.0
+        assert default_certificate_range(g, f, gh.constants(g)) > 1.0
 
 
 class TestEllipticLinear:
@@ -266,6 +267,8 @@ class TestVerifier:
         # testing against the true solution direction exposes the defect
         vals = hvi_residual(g, sp, wrong, f, [np.array([0.0])])
         assert vals[0] < 0.0
+        with pytest.raises(ValueError, match=r"test set shape \(1, 2\)"):
+            hvi_residual(g, sp, wrong, f, np.zeros((1, 2)))
 
     def test_verify_inclusion_flags_wrong_candidate(self):
         g = single_node()
@@ -301,6 +304,85 @@ class TestCertificates:
                             np.array([0.5])),
             SolverOptions(with_certificates=False))
         assert rep2.certificates == []
+
+
+def enumerate_solutions(g, bps, pieces, f, tol=1e-9):
+    """Every solution of the inclusion for the piecewise-linear density with
+    breakpoints ``bps`` and pieces ``a + b t`` (rows ``(a, b)``), without the
+    solver: each node is either free on piece p (``xi = a_p + b_p phi``) or
+    pinned at breakpoint k (``phi = bps[k]``, ``xi`` in the jump interval),
+    so each of the ``(2k + 1)^n`` assignments is one linear system.  Its
+    solution counts when it is consistent with the assignment."""
+    k, n = len(bps), g.num_nodes
+    a, b = pieces[:, 0], pieces[:, 1]
+    ends = np.concatenate(([-np.inf], bps, [np.inf]))
+    limits = np.stack((a[:-1] + b[:-1] * bps, a[1:] + b[1:] * bps))
+    lo, hi = limits.min(axis=0), limits.max(axis=0)
+    L = np.diag(g.kappa)  # dense K + C
+    np.add.at(L, (g.edge_src, g.edge_src), g.gamma)
+    np.add.at(L, (g.edge_src, g.edge_dst), -g.gamma)
+    states = np.array(list(itertools.product(range(2 * k + 1), repeat=n)))
+    pinned, p = states % 2 == 1, states // 2  # p: piece, or breakpoint
+    at = np.minimum(p, k - 1)
+    eye = np.eye(n)
+    A = np.where(pinned[:, :, None], eye, L + eye * (g.mu * b[p])[:, :, None])
+    rhs = np.where(pinned, bps[at], g.mu * (f - a[p]))
+    ok = np.linalg.cond(A) < 1e10  # a singular system is a degenerate draw
+    pinned, p, at = pinned[ok], p[ok], at[ok]
+    phi = np.linalg.solve(A[ok], rhs[ok][..., None])[..., 0]
+    xi = f - phi @ L.T / g.mu
+    consistent = np.where(
+        pinned, (xi >= lo[at] - tol) & (xi <= hi[at] + tol),
+        (phi >= ends[p] - tol) & (phi <= ends[p + 1] + tol))
+    found = []
+    for x in phi[consistent.all(axis=1)]:
+        if not any(np.allclose(x, y, rtol=0, atol=1e-7) for y in found):
+            found.append(x)
+    return found
+
+
+class TestEnumerationOracle:
+    """Solver and uniqueness certificate against every solution of small
+    piecewise-linear problems, listed by :func:`enumerate_solutions`."""
+
+    @staticmethod
+    def draw(rng, mild):
+        """2 to 4 nodes, 1 or 2 breakpoints, independent pieces (jumps of
+        either sign).  The mild draw (kappa in [1, 3], slopes in
+        [-0.05, 0.3]) is often certified; the wide one often has several
+        solutions or none."""
+        w = (1.0, 3.0) if mild else (0.2, 2.0)
+        g = make_random_graph(rng, max_nodes=4, weight_lo=w[0],
+                              weight_hi=w[1])
+        k = int(rng.integers(1, 3))
+        bps = np.sort(rng.uniform(-1.0, 1.0, k))
+        a_max, b_lo, b_hi, f_max = ((0.3, -0.05, 0.3, 1.0) if mild
+                                    else (1.0, -0.5, 1.0, 3.0))
+        pieces = np.column_stack((rng.uniform(-a_max, a_max, k + 1),
+                                  rng.uniform(b_lo, b_hi, k + 1)))
+        return g, bps, pieces, rng.uniform(-f_max, f_max, g.num_nodes)
+
+    def test_solver_and_certificate(self):
+        rng = np.random.default_rng(9)
+        counts = {"certified": 0, "several": 0, "monotone": 0}
+        for i in range(300):
+            g, bps, pieces, f = self.draw(rng, mild=i % 2 == 1)
+            sp = build(PiecewiseDensity(bps, tuple(pieces)))
+            rep = solve_elliptic(EllipticProblem(g, sp, f))
+            found = enumerate_solutions(g, bps, pieces, f)
+            if rep.converged:
+                assert any(np.allclose(rep.phi, x, rtol=0, atol=1e-6)
+                           for x in found)
+            left, right = sp.density.one_sided(bps)
+            if np.all(pieces[:, 1] >= 0) and np.all(right >= left):
+                # nondecreasing density, kappa > 0: one solution, found
+                counts["monotone"] += 1
+                assert rep.converged and len(found) == 1
+            if rep.certificates[1].satisfied:
+                counts["certified"] += 1
+                assert len(found) == 1
+            counts["several"] += len(found) > 1
+        assert min(counts.values()) >= 20, counts
 
 
 class TestParabolic:

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as P
 
 from graphhvi.superpotential import (PiecewiseDensity, build, from_document,
                                      growth_certificate, mollify,
-                                     relaxed_monotonicity_estimate,
+                                     relaxed_monotonicity_constant,
                                      schedule_from_document)
 
 from conftest import abs_density, down_jump_density, quad_density
@@ -27,6 +27,8 @@ class TestPiecewiseDensity:
             PiecewiseDensity((0.0,), ([math.nan], [0.0]))
         with pytest.raises(ValueError, match="finite"):
             PiecewiseDensity((math.inf,), ([0.0], [0.0]))
+        with pytest.raises(ValueError, match="1-d"):
+            PiecewiseDensity(((0.0, 1.0),), ([0.0], [0.0]))
 
     def test_right_continuous_value(self):
         d = abs_density().density
@@ -226,26 +228,75 @@ class TestGrowthCertificate:
         assert sp.lipschitz_bound(2.0) == pytest.approx(2.0)
 
 
+def _lattice_estimate(sp, r):
+    """Reference: the largest ``(j°(s; t-s) + j°(t; s-t)) / |t-s|^2`` over
+    pairs of a lattice on [-r, r] (200 points plus the breakpoints and
+    their 1e-6 and 1e-3 offsets), floored at 0; a lower estimate of the
+    relaxed-monotonicity constant."""
+    bp = sp.density.breakpoints
+    pts = [np.linspace(-r, r, 200)]
+    for off in (0.0, 1e-6, 1e-3):
+        pts += [bp + off, bp - off]
+    lat = np.unique(np.clip(np.concatenate(pts), -r, r))
+    d = lat[None, :] - lat[:, None]
+    ratio = sp.directional(lat[:, None], d) + sp.directional(lat[None, :], -d)
+    mask = np.abs(d) > 1e-12
+    return max(0.0, float(np.max(ratio[mask] / d[mask] ** 2, initial=0.0)))
+
+
+@st.composite
+def lattice_cases(draw):
+    """Densities of degree 0 to 3 with 0 to 3 breakpoints (independent
+    pieces, so jumps of either sign) and a range r in [0.3, 5]."""
+    bp = sorted(set(draw(st.lists(st.floats(-4, 4), max_size=3))))
+    pieces = [draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4))
+              for _ in range(len(bp) + 1)]
+    sp = build(PiecewiseDensity(tuple(bp), tuple(pieces)))
+    return sp, draw(st.floats(0.3, 5.0))
+
+
 class TestRelaxedMonotonicity:
     def test_convex_densities_are_zero(self):
-        assert relaxed_monotonicity_estimate(abs_density(), 3.0) == 0.0
-        assert relaxed_monotonicity_estimate(quad_density(1.0), 3.0) == 0.0
+        assert relaxed_monotonicity_constant(abs_density(), 3.0) == 0.0
+        assert relaxed_monotonicity_constant(quad_density(1.0), 3.0) == 0.0
 
     def test_decreasing_linear_density(self):
         # beta(t) = -t: the pair ratio (j°(s;t-s)+j°(t;s-t))/|t-s|^2 is
         # identically 1, so the estimate is exactly 1
         sp = build(PiecewiseDensity((), ([0.0, -1.0],)))
-        assert relaxed_monotonicity_estimate(sp, 2.0) == pytest.approx(1.0)
+        assert relaxed_monotonicity_constant(sp, 2.0) == pytest.approx(1.0)
 
     def test_down_jump_blows_up(self):
-        # a downward jump makes the true constant infinite; the lattice
-        # estimate grows like jump / offset for the smallest offset pairs
-        est = relaxed_monotonicity_estimate(down_jump_density(), 2.0)
+        # a downward jump makes the true constant infinite
+        est = relaxed_monotonicity_constant(down_jump_density(), 2.0)
         assert est > 1e4
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            relaxed_monotonicity_estimate(abs_density(), -1.0)
+            relaxed_monotonicity_constant(abs_density(), -1.0)
+
+    def test_closed_forms(self):
+        minus_t = build(PiecewiseDensity((), ([0.0, -1.0],)))
+        assert relaxed_monotonicity_constant(minus_t, 2.0) == 1.0
+        assert relaxed_monotonicity_constant(abs_density(), 2.0) == 0.0
+        assert relaxed_monotonicity_constant(quad_density(1.0), 2.0) == 0.0
+        jump = down_jump_density(b=0.5, slope=0.1)
+        assert relaxed_monotonicity_constant(jump, 2.0) == math.inf
+        assert relaxed_monotonicity_constant(jump, 0.5) == math.inf
+        assert relaxed_monotonicity_constant(jump, 0.4) == 0.0
+        # beta = t^2 - t, down by 0.25 past 0.5: beta' = 2t - 1 is least
+        # at -r
+        sp = build(PiecewiseDensity((0.5,), ([0.0, -1.0, 1.0],
+                                             [-0.25, -1.0, 1.0])))
+        assert relaxed_monotonicity_constant(sp, 0.4) == pytest.approx(1.8)
+        assert relaxed_monotonicity_constant(sp, 1.0) == math.inf
+
+    @settings(deadline=None, max_examples=200)
+    @given(lattice_cases())
+    def test_at_least_lattice_estimate(self, case):
+        sp, r = case
+        exact = relaxed_monotonicity_constant(sp, r)
+        assert exact >= _lattice_estimate(sp, r) * (1.0 - 1e-6)
 
 
 class TestMollify:
@@ -262,6 +313,13 @@ class TestMollify:
         sp = down_jump_density()
         mol = mollify(sp, 1e-3)
         xs = np.array([-2.0, 0.0, 0.4, 0.6, 3.0])
+        np.testing.assert_allclose(mol.density.value(xs),
+                                   sp.density.value(xs))
+        # a breakpoint without a jump is kept, next to a ramped one
+        sp = build(PiecewiseDensity((-1.0, 0.0), ([1.0, 1.0], [0.0], [1.0])))
+        mol = mollify(sp, 0.25)
+        assert mol.density.breakpoints.tolist() == [-1.0, -0.25, 0.25]
+        xs = np.array([-2.0, -1.0, -0.5, 0.3, 3.0])
         np.testing.assert_allclose(mol.density.value(xs),
                                    sp.density.value(xs))
 
@@ -299,6 +357,8 @@ class TestDocuments:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="malformed schedule"):
             schedule_from_document([{"until": 1.0}])
+        with pytest.raises(ValueError, match="nonempty"):
+            schedule_from_document([])
         for until in (math.nan, math.inf, -math.inf, 10 ** 400, True):
             with pytest.raises(ValueError, match="malformed schedule"):
                 schedule_from_document([{"until": until, "density": {
