@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .calculus import embedding_diagnostics, sobolev_norms
-from .graphs import GraphFormatError, WeightedGraph, _finite, _rho_matrix
+from .graphs import GraphFormatError, WeightedGraph, _finite
 from .solvers import EllipticProblem, SolveReport, SolverOptions, solve_elliptic
 from .superpotential import Superpotential
 
@@ -113,13 +112,6 @@ class GraphGenerator:
     def root(self) -> tuple:
         return {"path": (0,), "binary-tree": ("",), "lattice-2d": (0, 0)}[self.kind]
 
-    def depth(self, node: tuple) -> int:
-        if self.kind == "path":
-            return node[0]
-        if self.kind == "binary-tree":
-            return len(node[0])
-        return abs(node[0]) + abs(node[1])
-
     def node_id(self, node: tuple) -> str:
         if self.kind == "path":
             return str(node[0])
@@ -156,36 +148,32 @@ def _depth_weights(gen: GraphGenerator, name: str, n: int) -> np.ndarray:
     return np.array(values)
 
 
-def truncate(gen: GraphGenerator, r: float,
-             max_nodes: int = 100_000) -> WeightedGraph:
-    """Induced subgraph on the open rho-ball of radius ``r`` at the root.
+_MAX_NODES = 100_000
 
-    Nodes are ordered by depth, then by id: the root comes first, and the
-    nodes of a smaller ball are a prefix of those of a larger one.  Edges
-    leaving the ball are deleted (Dirichlet truncation).  Raises if the
-    ball exceeds ``max_nodes`` (possible for summable rho laws) or a weight
-    in it is not finite and positive.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+
+def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray]:
+    """The truncations at the increasing ``radii``, sliced from one walk out
+    to the largest, and the depth of each node of the largest."""
     # Every edge joins depth d to depth d + 1, so a depth-d node lies at
-    # rho-distance rho(0) + ... + rho(d - 1): the ball is whole levels.
+    # rho-distance rho(0) + ... + rho(d - 1): each ball is whole levels.
     level, ids, sizes = [gen.root], [gen.node_id(gen.root)], [1]
-    src, dst, dist = [], [], gen.rho(0)
-    while dist < r and len(ids) <= max_nodes:
-        kids = [list(gen.children(u)) for u in level]
-        pairs = sorted((gen.node_id(v), v)
-                       for v in {v for vs in kids for v in vs})
-        index = {v: i for i, (_, v) in enumerate(pairs, len(ids))}
-        src += [i for i, vs in enumerate(kids, len(ids) - len(level))
-                for _ in vs]
-        dst += [index[v] for vs in kids for v in vs]
-        level = [v for _, v in pairs]
-        ids += [vid for vid, _ in pairs]
-        sizes.append(len(level))
-        dist += gen.rho(len(sizes) - 1)
-    if len(ids) > max_nodes:
-        raise ValueError(f"ball exceeds max_nodes={max_nodes}; "
+    src, dst, dist, cuts = [], [], gen.rho(0), []
+    for r in radii:
+        while dist < r and len(ids) <= _MAX_NODES:
+            kids = [list(gen.children(u)) for u in level]
+            pairs = sorted((gen.node_id(v), v)
+                           for v in {v for vs in kids for v in vs})
+            index = {v: i for i, (_, v) in enumerate(pairs, len(ids))}
+            src += [i for i, vs in enumerate(kids, len(ids) - len(level))
+                    for _ in vs]
+            dst += [index[v] for vs in kids for v in vs]
+            level = [v for _, v in pairs]
+            ids += [vid for vid, _ in pairs]
+            sizes.append(len(level))
+            dist += gen.rho(len(sizes) - 1)
+        cuts.append((len(ids), len(src)))
+    if len(ids) > _MAX_NODES:
+        raise ValueError(f"ball exceeds max_nodes={_MAX_NODES}; "
                          "radius too large for this rho law")
     n = len(sizes)
     node_depth = np.repeat(range(n), sizes)
@@ -195,16 +183,23 @@ def truncate(gen: GraphGenerator, r: float,
     a, b = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
     rho, gamma = (_depth_weights(gen, w, n - 1)[node_depth[a]]
                   for w in ("rho", "gamma"))
-    return WeightedGraph.undirected(ids, mu, kappa, a, b, rho, gamma)
+    return [WeightedGraph.undirected(ids[:k], mu[:k], kappa[:k], a[:m], b[:m],
+                                     rho[:m], gamma[:m])
+            for k, m in cuts], node_depth
 
 
-def load_vector(gen: GraphGenerator, g: WeightedGraph,
-                f_law: WeightLaw) -> np.ndarray:
-    """Evaluate a load law on a truncation, by node depth (there, the hop
-    count from the root)."""
-    depth = shortest_path(_rho_matrix(g), unweighted=True, indices=g.node_index(
-        gen.node_id(gen.root))).astype(int)
-    return np.array([f_law(d) for d in range(depth.max() + 1)])[depth]
+def truncate(gen: GraphGenerator, r: float) -> WeightedGraph:
+    """Induced subgraph on the open rho-ball of radius ``r`` at the root.
+
+    Nodes are ordered by depth, then by id: the root comes first, and the
+    nodes of a smaller ball are a prefix of those of a larger one.  Edges
+    leaving the ball are deleted (Dirichlet truncation).  Raises if the
+    ball exceeds ``_MAX_NODES`` (possible for summable rho laws) or a
+    weight in it is not finite and positive.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return _balls(gen, [r])[0][0]
 
 
 @dataclass
@@ -235,29 +230,27 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite: {eps}")
     root_id = gen.node_id(gen.root)
+    graphs, node_depth = _balls(gen, radii)
+    f = np.array([f_law(d) for d in range(node_depth[-1] + 1)])[node_depth]
 
-    graphs: list[WeightedGraph] = []
     reports: list[SolveReport] = []
     increments: list[float] = []
     tails: list[float] = []
     prev_phi = np.zeros(0)
-    for i, r in enumerate(radii):
-        g = truncate(gen, r)
-        f = load_vector(gen, g, f_law)
+    for i, (r, g) in enumerate(zip(radii, graphs)):
         m = len(prev_phi)   # the previous level's nodes come first
         warm = np.concatenate([prev_phi, np.zeros(g.num_nodes - m)])
         opts = SolverOptions(initial=warm, with_certificates=False)
-        rep = solve_elliptic(EllipticProblem(g, sp, f), opts)
-        if graphs:
+        rep = solve_elliptic(EllipticProblem(g, sp, f[:g.num_nodes]), opts)
+        if i:
             diff = rep.phi[:m] - prev_phi
-            increments.append(sobolev_norms(graphs[-1], diff).w_hilbert)
-        graphs.append(g)
+            increments.append(sobolev_norms(graphs[i - 1], diff).w_hilbert)
         reports.append(rep)
         tail_r = radii[i - 1] if i > 0 else r / 2.0
         tails.append(embedding_diagnostics(g, root_id, tail_r,
                                            rep.phi).tail_mass)
         if not rep.converged:
-            return ExhaustionReport(radii[:i + 1], reports, graphs,
+            return ExhaustionReport(radii[:i + 1], reports, graphs[:i + 1],
                                     increments, tails, converged=False)
         prev_phi = rep.phi
     converged = (len(increments) >= 1 and increments[-1] < eps

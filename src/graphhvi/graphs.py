@@ -178,13 +178,10 @@ def _records(recs: list, keys: tuple, kind: str) -> list:
 
 
 def load_graph(document) -> WeightedGraph:
-    """Parse a graph from a JSON document (dict, JSON string, or file path)."""
+    """Parse a graph from a JSON document (a dict, or a file path)."""
     if isinstance(document, str):
-        if document.lstrip().startswith("{"):
-            document = json.loads(document)
-        else:
-            with open(document) as fh:
-                document = json.load(fh)
+        with open(document) as fh:
+            document = json.load(fh)
     if not isinstance(document, dict):
         raise GraphFormatError("graph document must be a JSON object")
     extra = set(document) - _TOP_KEYS

@@ -481,6 +481,22 @@ class TestExhaust:
         assert code == 2
         assert "radii" in err or "eps" in err
 
+    def test_laws_checked_before_first_solve(self, tmp_path, capsys):
+        # the radius-2 level alone would end cycled (exit 1, as below); the
+        # weight laws are checked over the radius-12 ball before it is solved
+        doc = dict(EXHAUST_DOC, kind="path",
+                   f={"formula": "constant", "value": 5.0},
+                   weights=dict(EXHAUST_DOC["weights"], gamma={
+                       "formula": "geometric-in-depth", "value": 1e300,
+                       "ratio": 10.0}))
+        gen_path = write(tmp_path / "gen.json", doc)
+        code, out, err = run(["exhaust", "--generator", gen_path,
+                              "--radii", "2,12"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: non-positive or non-finite gamma at depth 9: "
+                       "inf\n")
+
     def test_linear_solve_breakdown(self, tmp_path, capsys):
         # conductances near 1e300 make p @ Ap underflow to 0 in the CG loop:
         # a non-convergence report, not a ZeroDivisionError

@@ -8,8 +8,7 @@ import pytest
 
 import graphhvi as gh
 from graphhvi.exhaustion import (GraphGenerator, WeightLaw, exhaust,
-                                 generator_from_document, load_vector,
-                                 truncate)
+                                 generator_from_document, truncate)
 from graphhvi.graphs import distances_from, from_data
 
 from conftest import abs_density, quad_density, zero_density
@@ -101,17 +100,14 @@ class TestGenerator:
 
     def test_depth_and_ids(self):
         gen = path_generator()
-        assert gen.depth((3,)) == 3
         assert gen.node_id((3,)) == "3"
         tree = GraphGenerator(kind="binary-tree", mu=constant(),
                               rho=constant(), gamma=constant(),
                               kappa=constant())
-        assert tree.depth(("01",)) == 2
         assert tree.node_id(("01",)) == "r01"
         lat = GraphGenerator(kind="lattice-2d", mu=constant(),
                              rho=constant(), gamma=constant(),
                              kappa=constant())
-        assert lat.depth((-2, 1)) == 3
         assert lat.node_id((-2, 1)) == "-2,1"
 
 
@@ -164,19 +160,14 @@ class TestTruncate:
         assert set(g.edge_src.tolist()) <= inside
         assert set(g.edge_dst.tolist()) <= inside
 
-    def test_max_nodes_guard(self):
-        with pytest.raises(ValueError, match="max_nodes"):
-            truncate(path_generator(), 1000.0, max_nodes=10)
+    def test_max_nodes_guard(self, monkeypatch):
+        monkeypatch.setattr("graphhvi.exhaustion._MAX_NODES", 10)
+        with pytest.raises(ValueError, match="max_nodes=10"):
+            truncate(path_generator(), 1000.0)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError, match="positive"):
             truncate(path_generator(), 0.0)
-
-    def test_load_vector_root_only(self):
-        gen = path_generator()
-        g = truncate(gen, 3.5)
-        f = load_vector(gen, g, WeightLaw("root-only", {"value": 2.0}))
-        np.testing.assert_allclose(f, [2.0, 0.0, 0.0, 0.0])
 
 
 KINDS = ("path", "binary-tree", "lattice-2d")
@@ -306,19 +297,25 @@ class TestTruncateOracle:
         for small, large in zip(nodes, nodes[1:]):
             assert large[:len(small)] == small
 
+    @pytest.mark.parametrize("law", sorted(RHO_LAWS))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_load_vector_by_depth(self, kind):
-        gen = depth_generator(kind, RHO_LAWS["power"])
-        g = truncate(gen, 4.4)
-        tuples = {gen.node_id(u): u for u in node_tuples(kind, 8)}
-        assert set(g.nodes) <= set(tuples)
-        for f_law in (WeightLaw("root-only", {"value": 2.0}),
-                      WeightLaw("geometric-in-depth", {"value": 1.5,
-                                                       "ratio": 0.7}),
-                      WeightLaw("power-in-depth", {"value": -1.0,
-                                                   "exponent": 0.5})):
-            expected = [f_law(gen.depth(tuples[v])) for v in g.nodes]
-            assert load_vector(gen, g, f_law).tolist() == expected
+    def test_exhaust_levels_equal_truncations(self, kind, law):
+        gen = depth_generator(kind, RHO_LAWS[law])
+        rep = exhaust(gen, quad_density(0.5), constant(1.0), RADII, 1e-6)
+        assert len(rep.graphs) == len(RADII)
+        for r, g in zip(RADII, rep.graphs):
+            ref = truncate(gen, r)
+            assert g.nodes == ref.nodes
+            for name in ("mu", "kappa", "edge_src", "edge_dst", "rho",
+                         "gamma"):
+                a, b = getattr(g, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+
+LOAD_LAWS = (WeightLaw("root-only", {"value": 2.0}),
+             WeightLaw("geometric-in-depth", {"value": 1.5, "ratio": 0.7}),
+             WeightLaw("power-in-depth", {"value": -1.0, "exponent": 0.5}))
 
 
 class TestExhaust:
@@ -368,6 +365,36 @@ class TestExhaust:
         for eps in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError, match="eps"):
                 exhaust(gen, sp, f, [2, 4], eps)
+
+    @pytest.mark.parametrize("f_law", LOAD_LAWS,
+                             ids=[f.formula for f in LOAD_LAWS])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_levels_solve_the_depth_load(self, kind, f_law):
+        # the load at a node is f_law at its depth, taken from the node's
+        # own tuple, not from the walk that built the ball
+        gen = depth_generator(kind, RHO_LAWS["power"])
+        sp = abs_density(0.3)
+        rep = exhaust(gen, sp, f_law, [1.0, 2.5, 4.4], 1e-6)
+        tuples = {gen.node_id(u): u for u in node_tuples(kind, 8)}
+        assert all(s.converged for s in rep.solutions)
+        assert len(rep.graphs) == 3
+        for g, sol in zip(rep.graphs, rep.solutions):
+            f = np.array([f_law(tuple_depth(kind, tuples[v]))
+                          for v in g.nodes])
+            assert np.max(gh.verify_inclusion(g, sp, sol.phi, f)) <= 1e-8
+
+    def test_one_walk_per_study(self, monkeypatch):
+        expanded = []
+        real = GraphGenerator.children
+        monkeypatch.setattr(GraphGenerator, "children",
+                            lambda gen, u: expanded.append(u) or real(gen, u))
+        gen = depth_generator("lattice-2d", RHO_LAWS["constant"])
+        rep = exhaust(gen, quad_density(0.5), constant(1.0), RADII, 1e-6)
+        assert len(rep.graphs) == len(RADII)
+        # unit rho: the largest ball (radius 5.5) holds depths 0 to 5, and
+        # each node of depth 0 to 4 is expanded exactly once
+        assert sorted(expanded) == sorted(
+            u for u in node_tuples("lattice-2d", 4))
 
     def test_increments_align_by_node_id(self):
         # each increment compares consecutive solutions node by node

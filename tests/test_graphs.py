@@ -95,8 +95,11 @@ class TestLoadGraph:
         assert g.nodes == ("a", "b")
         assert g.num_edges == 2
 
-    def test_from_json_string(self):
-        g = gh.load_graph(json.dumps(self.DOC))
+    def test_from_path_starting_with_brace(self, tmp_path, monkeypatch):
+        # a path is a path, even when it reads like the start of an object
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "{g}.json").write_text(json.dumps(self.DOC))
+        g = gh.load_graph("{g}.json")
         assert g.nodes == ("a", "b")
 
     def test_from_path(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from graphhvi.superpotential import (PiecewiseDensity, build, from_document,
@@ -232,7 +232,9 @@ def _lattice_estimate(sp, r):
     """Reference: the largest ``(j°(s; t-s) + j°(t; s-t)) / |t-s|^2`` over
     pairs of a lattice on [-r, r] (200 points plus the breakpoints and
     their 1e-6 and 1e-3 offsets), floored at 0; a lower estimate of the
-    relaxed-monotonicity constant."""
+    relaxed-monotonicity constant.  Also returns a bound on its round-off:
+    each quotient divides a sum of products ``beta * d`` by ``d^2``, so its
+    absolute error is a few ``eps * max |beta| / |d|``."""
     bp = sp.density.breakpoints
     pts = [np.linspace(-r, r, 200)]
     for off in (0.0, 1e-6, 1e-3):
@@ -241,7 +243,10 @@ def _lattice_estimate(sp, r):
     d = lat[None, :] - lat[:, None]
     ratio = sp.directional(lat[:, None], d) + sp.directional(lat[None, :], -d)
     mask = np.abs(d) > 1e-12
-    return max(0.0, float(np.max(ratio[mask] / d[mask] ** 2, initial=0.0)))
+    est = max(0.0, float(np.max(ratio[mask] / d[mask] ** 2, initial=0.0)))
+    beta = np.max(np.abs(sp.interval(lat)))
+    err = 4 * np.finfo(float).eps * beta / np.min(np.abs(d[mask]))
+    return est, float(err)
 
 
 @st.composite
@@ -293,10 +298,14 @@ class TestRelaxedMonotonicity:
 
     @settings(deadline=None, max_examples=200)
     @given(lattice_cases())
+    # exact 1e-5; round-off in the 1e-6-wide quotients puts the lattice at
+    # 1.0000071e-5
+    @example((build(PiecewiseDensity((0.0,), ([0.0], [1.0, -1e-5]))), 1.0))
     def test_at_least_lattice_estimate(self, case):
         sp, r = case
         exact = relaxed_monotonicity_constant(sp, r)
-        assert exact >= _lattice_estimate(sp, r) * (1.0 - 1e-6)
+        est, err = _lattice_estimate(sp, r)
+        assert exact >= est * (1.0 - 1e-6) - err
 
 
 class TestMollify:
