@@ -6,7 +6,7 @@ from .calculus import (EmbeddingDiagnostics, SobolevNormReport, difference,
                        w_hilbert_norm)
 from .graphs import (DegreeRecord, GraphFormatError, NodeTable,
                      WeightedGraph, ball, degrees, from_data, load_graph,
-                     node_function, rho_distance, volume)
+                     node_function, volume)
 from .operators import (AssembledOperator, LinearSolveError,
                         OperatorConstants, apply, assemble, bilinear_form,
                         constants, solve_spd)

@@ -66,9 +66,10 @@ def _checked(what: str, fn, *args):
         raise InputError(f"{what}: {exc}") from exc
 
 
-def load_problem(path: str):
+def load_problem(path: str, tol: float | None = None):
     """Parse a problem file; returns (graph, sp, f, parabolic dict or None,
-    SolverOptions)."""
+    SolverOptions).  ``tol``, when given, overrides the file's
+    ``solver.tol``."""
     doc = _load_json(path)
     base = os.path.dirname(os.path.abspath(path))
     if not isinstance(doc, dict):
@@ -98,24 +99,9 @@ def load_problem(path: str):
         for key in ("T", "steps", "phi0"):
             if key not in parabolic:
                 raise InputError(f"{path}: parabolic section missing {key!r}")
+    if tol is not None:
+        opts = dataclasses.replace(opts, tol=tol)
     return g, sp, f, parabolic, opts
-
-
-def _build_parabolic(g, sp, f, parabolic):
-    steps = _number(parabolic["steps"], numbers.Integral, "steps")
-    phi0 = _checked("phi0", node_function, g, parabolic["phi0"])
-    if "f_table" in parabolic:
-        table = parabolic["f_table"]
-        if not isinstance(table, list) or len(table) != steps:
-            raise InputError(f"f_table must be a list of {steps} loads")
-        f = np.stack([_checked(f"f_table[{k}]", node_function, g, row)
-                      for k, row in enumerate(table)])
-    if "sp_schedule" in parabolic:
-        sp = _checked("sp_schedule", superpotential.schedule_from_document,
-                      parabolic["sp_schedule"])
-    T = float(_number(parabolic["T"], numbers.Real, "T"))
-    return solvers.ParabolicProblem(graph=g, sp=sp, f=f, phi0=phi0, T=T,
-                                    steps=steps)
 
 
 def _emit(doc: dict, args, title: str) -> None:
@@ -129,59 +115,58 @@ def _emit(doc: dict, args, title: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     g = _checked(args.graph, load_graph, args.graph)
-    _emit(reports.validate_report_dict(g), args, "graph validation")
-    return 0
+    return reports.validate_report_dict(g), 0
 
 
-def cmd_certify(args) -> int:
-    g, sp, f, _, opts = load_problem(args.problem)
+def cmd_certify(args) -> tuple[dict, int]:
+    g, sp, f, _, _ = load_problem(args.problem)
     certs = solvers.certify(solvers.EllipticProblem(g, sp, f))
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
+    return {
         "certificates": [dataclasses.asdict(c) for c in certs],
         "constants": dataclasses.asdict(operators.constants(g)),
-    }
-    _emit(doc, args, "certificates")
-    return 0
+    }, 0
 
 
-def cmd_solve_elliptic(args) -> int:
-    g, sp, f, _, opts = load_problem(args.problem)
-    if args.tol is not None:
-        opts = dataclasses.replace(opts, tol=args.tol)
+def cmd_solve_elliptic(args) -> tuple[dict, int]:
+    g, sp, f, _, opts = load_problem(args.problem, args.tol)
     rep = solvers.solve_elliptic(solvers.EllipticProblem(g, sp, f), opts)
-    _emit(reports.solve_report_dict(g, rep), args, "elliptic solve")
-    return 0 if rep.converged else 1
+    return reports.solve_report_dict(g, rep), 0 if rep.converged else 1
 
 
-def cmd_solve_parabolic(args) -> int:
-    g, sp, f, parabolic, opts = load_problem(args.problem)
+def cmd_solve_parabolic(args) -> tuple[dict, int]:
+    g, sp, f, parabolic, opts = load_problem(args.problem, args.tol)
     if parabolic is None:
         raise InputError(f"{args.problem}: missing 'parabolic' section")
-    if args.tol is not None:
-        opts = dataclasses.replace(opts, tol=args.tol)
-    problem = _build_parabolic(g, sp, f, parabolic)
-    res = solvers.solve_parabolic(problem, opts)
-    _emit(reports.parabolic_report_dict(g, res), args, "parabolic solve")
-    return 0 if res.converged else 1
+    steps = _number(parabolic["steps"], numbers.Integral, "steps")
+    phi0 = _checked("phi0", node_function, g, parabolic["phi0"])
+    if "f_table" in parabolic:
+        table = parabolic["f_table"]
+        if not isinstance(table, list) or len(table) != steps:
+            raise InputError(f"f_table must be a list of {steps} loads")
+        f = np.stack([_checked(f"f_table[{k}]", node_function, g, row)
+                      for k, row in enumerate(table)])
+    if "sp_schedule" in parabolic:
+        sp = _checked("sp_schedule", superpotential.schedule_from_document,
+                      parabolic["sp_schedule"])
+    T = float(_number(parabolic["T"], numbers.Real, "T"))
+    res = solvers.solve_parabolic(solvers.ParabolicProblem(
+        graph=g, sp=sp, f=f, phi0=phi0, T=T, steps=steps), opts)
+    return reports.parabolic_report_dict(g, res), 0 if res.converged else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     g, sp, f, _, _ = load_problem(args.problem)
     phi = _checked(args.phi, node_function, g, _load_json(args.phi))
     resid = solvers.verify_inclusion(g, sp, phi, f)
-    doc = {
-        "schema_version": reports.SCHEMA_VERSION,
+    return {
         "residual_norm": lp_norm_nodes(g, resid, 2.0),
         "residual": NodeTable(g, resid),
-    }
-    _emit(doc, args, "inclusion verification")
-    return 0
+    }, 0
 
 
-def cmd_exhaust(args) -> int:
+def cmd_exhaust(args) -> tuple[dict, int]:
     doc = _load_json(args.generator)
     gen, f_law = _checked(args.generator,
                           exhaustion.generator_from_document, doc)
@@ -192,8 +177,7 @@ def cmd_exhaust(args) -> int:
     radii = _checked(f"bad --radii list {args.radii!r}",
                      lambda: [float(r) for r in args.radii.split(",")])
     rep = exhaustion.exhaust(gen, sp, f_law, radii, args.eps)
-    out = {
-        "schema_version": reports.SCHEMA_VERSION,
+    return {
         "converged": rep.converged,
         "radii": rep.radii,
         "level_sizes": [g.num_nodes for g in rep.graphs],
@@ -201,9 +185,34 @@ def cmd_exhaust(args) -> int:
         "tail_masses": rep.tail_masses,
         "final_solution": NodeTable(rep.graphs[-1], rep.solutions[-1].phi),
         "final_residual_norm": rep.solutions[-1].residual_norm,
-    }
-    _emit(out, args, "exhaustion study")
-    return 0 if all(r.converged for r in rep.solutions) else 1
+    }, 0 if all(r.converged for r in rep.solutions) else 1
+
+
+_PROBLEM = ("--problem", {"required": True})
+_TOL = ("--tol", {"type": float, "default": None})
+_COMMON = [("--out", {"default": None,
+                      "help": "report output path (default: stdout)"}),
+           ("--format", {"choices": ("human", "machine"),
+                         "default": "machine"})]
+
+# command -> (help, human-report title, handler, its own flags)
+COMMANDS = {
+    "validate": ("validate a graph file", "graph validation", cmd_validate,
+                 [("--graph", {"required": True})]),
+    "certify": ("existence/uniqueness certificates", "certificates",
+                cmd_certify, [_PROBLEM]),
+    "solve-elliptic": ("solve the elliptic inclusion", "elliptic solve",
+                       cmd_solve_elliptic, [_PROBLEM, _TOL]),
+    "solve-parabolic": ("implicit-Euler time stepping", "parabolic solve",
+                        cmd_solve_parabolic, [_PROBLEM, _TOL]),
+    "verify": ("check a candidate solution", "inclusion verification",
+               cmd_verify, [_PROBLEM, ("--phi", {
+                   "required": True, "help": "JSON map node -> value"})]),
+    "exhaust": ("solve on growing ball truncations", "exhaustion study",
+                cmd_exhaust, [("--generator", {"required": True}),
+                              ("--radii", {"default": "2,4,8,16,32"}),
+                              ("--eps", {"type": float, "default": 1e-6})]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,58 +220,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphhvi",
         description="Hemivariational inequality solver on weighted graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="report output path "
-                       "(default: stdout)")
-        p.add_argument("--format", choices=("human", "machine"),
-                       default="machine")
-
-    p = sub.add_parser("validate", help="validate a graph file")
-    p.add_argument("--graph", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("certify", help="existence/uniqueness certificates")
-    p.add_argument("--problem", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_certify)
-
-    p = sub.add_parser("solve-elliptic", help="solve the elliptic inclusion")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_solve_elliptic)
-
-    p = sub.add_parser("solve-parabolic", help="implicit-Euler time stepping")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_solve_parabolic)
-
-    p = sub.add_parser("verify", help="check a candidate solution")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--phi", required=True, help="JSON map node -> value")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("exhaust", help="solve on growing ball truncations")
-    p.add_argument("--generator", required=True)
-    p.add_argument("--radii", default="2,4,8,16,32")
-    p.add_argument("--eps", type=float, default=1e-6)
-    common(p)
-    p.set_defaults(fn=cmd_exhaust)
-
+    for name, (help_text, _, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in [*flags, *_COMMON]:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    _, title, handler, _ = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        doc, code = handler(args)
+        _emit({"schema_version": reports.SCHEMA_VERSION, **doc}, args, title)
     except (ValueError, OSError) as exc:  # InputError, GraphFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -231,7 +231,11 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
         raise ValueError(f"eps must be positive and finite: {eps}")
     root_id = gen.node_id(gen.root)
     graphs, node_depth = _balls(gen, radii)
-    f = np.array([f_law(d) for d in range(node_depth[-1] + 1)])[node_depth]
+    f_depth = [f_law(d) for d in range(node_depth[-1] + 1)]
+    for d, x in enumerate(f_depth):
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite f at depth {d}: {x!r}")
+    f = np.array(f_depth)[node_depth]
 
     reports: list[SolveReport] = []
     increments: list[float] = []

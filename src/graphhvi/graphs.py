@@ -266,12 +266,6 @@ def distances_from(g: WeightedGraph, center: str) -> np.ndarray:
     return dijkstra(_rho_matrix(g), indices=g.node_index(center))
 
 
-def rho_distance(g: WeightedGraph, v: str, w: str) -> float:
-    """Shortest-path distance under rho; 0 for ``v == w``, inf if disconnected."""
-    j = g.node_index(w)
-    return float(distances_from(g, v)[j])
-
-
 def ball(g: WeightedGraph, center: str, r: float) -> set[str]:
     """Open ball ``{w : dist_rho(center, w) < r}`` (strict inequality)."""
     if r <= 0:

@@ -73,10 +73,13 @@ def bilinear_form(opr: AssembledOperator, phi: np.ndarray,
 
 
 def constants(g: WeightedGraph) -> OperatorConstants:
-    ratios = g.gamma / g.rho
+    # weights are finite and positive, so a ratio can only overflow, and
+    # then inf is its correctly rounded value
+    with np.errstate(over="ignore"):
+        ratios = g.gamma / g.rho
+        kr = g.kappa / g.mu
     g_lo = float(ratios.min(initial=math.inf))
     g_hi = float(ratios.max(initial=0.0))
-    kr = g.kappa / g.mu
     k_lo, k_hi = float(kr.min()), float(kr.max())
     return OperatorConstants(
         m_gamma_lo=g_lo, m_gamma_hi=g_hi,

@@ -21,7 +21,7 @@ from .graphs import NodeTable, WeightedGraph, degrees, volume
 from .operators import constants
 from .solvers import ParabolicResult, SolveReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1   # cli.main stamps it as every report's first key
 
 
 def _fmt_float(x: float) -> str:
@@ -69,7 +69,6 @@ def render_json(obj, indent: int = 0) -> str:
 
 def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "converged": rep.converged,
         "residual_norm": rep.residual_norm,
         "solution": NodeTable(g, rep.phi),
@@ -84,7 +83,6 @@ def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
 
 def parabolic_report_dict(g: WeightedGraph, res: ParabolicResult) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "converged": res.converged,
         "times": res.times.tolist(),
         "states": [NodeTable(g, row) for row in res.states],
@@ -95,7 +93,6 @@ def parabolic_report_dict(g: WeightedGraph, res: ParabolicResult) -> dict:
 
 def validate_report_dict(g: WeightedGraph) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "num_nodes": g.num_nodes,
         "num_directed_edges": g.num_edges,
         "mu_total": g.mu_total,

@@ -157,10 +157,6 @@ class Superpotential:
         d = np.asarray(d, dtype=float)
         return np.maximum(lo * d, hi * d)
 
-    def lipschitz_bound(self, r: float) -> float:
-        """sup over [-r, r] of max(|lo|, |hi|) of the subdifferential."""
-        return _sup_abs(self.density, r)
-
     def derivative_bound(self, r: float) -> float:
         """sup over [-r, r] of |beta'|, one-sided limits at breakpoints."""
         return _sup_abs(_derivative_density(self.density), r)

@@ -1,7 +1,11 @@
 """End-to-end command-line tests (exit codes, report content, determinism)."""
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +41,18 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(graphhvi.cli.__file__)))
+
+
+def run_module(*args):
+    """``python -m graphhvi.cli`` in a fresh interpreter that imports the
+    same ``graphhvi`` as these tests."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "graphhvi.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestValidate:
@@ -497,6 +513,29 @@ class TestExhaust:
         assert err == ("error: non-positive or non-finite gamma at depth 9: "
                        "inf\n")
 
+    def test_load_not_finite_at_depth(self, tmp_path, capsys):
+        # 1e300 * 10.0 ** 9 is inf without an OverflowError
+        doc = dict(EXHAUST_DOC, kind="path", f={
+            "formula": "geometric-in-depth", "value": 1e300, "ratio": 10.0})
+        gen_path = write(tmp_path / "gen.json", doc)
+        code, out, err = run(["exhaust", "--generator", gen_path,
+                              "--radii", "12"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: non-finite f at depth 9: inf\n"
+
+    def test_subnormal_mu_prints_no_warning(self, tmp_path):
+        # mu = 0.5 ** 1074 at depth 1074 is subnormal: kappa / mu overflows
+        doc = dict(EXHAUST_DOC, kind="path", weights=dict(
+            EXHAUST_DOC["weights"], mu={"formula": "geometric-in-depth",
+                                        "value": 1.0, "ratio": 0.5}))
+        gen_path = write(tmp_path / "gen.json", doc)
+        proc = run_module("exhaust", "--generator", gen_path,
+                          "--radii", "4,1075")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["level_sizes"] == [4, 1075]
+
     def test_linear_solve_breakdown(self, tmp_path, capsys):
         # conductances near 1e300 make p @ Ap underflow to 0 in the CG loop:
         # a non-convergence report, not a ZeroDivisionError
@@ -557,3 +596,60 @@ def test_one_load_and_one_render_per_operation(workspace, capsys,
                           "--out", str(workspace / "out.json")], capsys)
         assert code == 0
     assert calls == {"load": 2, "render": 2}
+
+
+class TestEntryPoint:
+    @staticmethod
+    def argv(workspace, command):
+        problem = str(workspace / "problem.json")
+        return {
+            "validate": ["--graph", str(workspace / "graph.json")],
+            "certify": ["--problem", problem],
+            "solve-elliptic": ["--problem", problem],
+            "solve-parabolic": ["--problem", write(
+                workspace / "parabolic.json", {
+                    "graph": "graph.json", "superpotential": QUAD_SP,
+                    "f": {"v": 0.5},
+                    "parabolic": {"T": 1.0, "steps": 2, "phi0": {"v": 0.0}}})],
+            "verify": ["--problem", problem,
+                       "--phi", write(workspace / "phi.json", {"v": 1.0})],
+            "exhaust": ["--generator", write(workspace / "gen.json",
+                                             EXHAUST_DOC), "--radii", "2,3"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["validate", "certify",
+                                         "solve-elliptic", "solve-parabolic",
+                                         "verify", "exhaust"])
+    def test_machine_report_starts_with_schema_version(self, workspace,
+                                                       capsys, command):
+        code, out, err = run([command, *self.argv(workspace, command)],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith('{\n  "schema_version": 1,\n')
+
+    def test_parser_built_once_per_process(self, workspace, capsys,
+                                           monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(2):
+            code, _, _ = run(["validate", *self.argv(workspace, "validate")],
+                             capsys)
+            assert code == 0
+        assert built == []
+
+    def test_python_m_entry_point(self, workspace, capsys):
+        argv = ["validate", *self.argv(workspace, "validate")]
+        _, out, _ = run(argv, capsys)
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        bad = write(workspace / "bad.json", {**GRAPH, "color": "blue"})
+        proc = run_module("validate", "--graph", bad)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
