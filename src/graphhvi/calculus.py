@@ -40,9 +40,13 @@ def difference(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
 def _weighted_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1 (or inf)")
+    a = np.abs(values)
+    s = math.ldexp(1.0, math.frexp(a.max(initial=0.0))[1] - 1)
+    a /= s  # exact (a power of two), and now every entry is below 2
     if math.isinf(p):
-        return float(np.max(np.abs(values) * weights, initial=0.0))
-    return float(np.sum(np.abs(values) ** p * weights) ** (1.0 / p))
+        return s * float(np.max(a * weights, initial=0.0))
+    a **= p
+    return s * float((a @ weights) ** (1.0 / p))
 
 
 def lp_norm_nodes(g: WeightedGraph, phi: np.ndarray, p: float = 2.0) -> float:
@@ -106,8 +110,6 @@ def embedding_diagnostics(g: WeightedGraph, center: str, r: float,
     phi = _check_nodes(g, phi)
     if r <= 0:
         raise ValueError("radius must be positive")
-    dist = distances_from(g, center)
-    inside = dist < r
-    tail = ~inside
-    mass = float(np.sqrt(np.sum(phi[tail] ** 2 * g.mu[tail])))
+    inside = distances_from(g, center) < r
+    mass = _weighted_lp(phi[~inside], g.mu[~inside], 2.0)
     return EmbeddingDiagnostics(ball_size=int(inside.sum()), tail_mass=mass)

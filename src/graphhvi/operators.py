@@ -90,18 +90,20 @@ def constants(g: WeightedGraph) -> OperatorConstants:
 
 
 def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
-         max_iter: int) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradients on ``A + diag(d)``, preconditioned by its diagonal.
-
-    Stops when the unpreconditioned residual satisfies
-    ``||(A + diag(d)) x - rhs|| <= tol * ||rhs||``.  Deterministic for fixed
-    inputs.
+         max_iter: int, x0: np.ndarray | None = None
+         ) -> tuple[np.ndarray, float, int]:
+    """Conjugate gradients on ``A + diag(d)`` from ``x0`` (zero when None;
+    not modified), preconditioned by its diagonal; deterministic.  Stops at
+    ``||(A + diag(d)) x - rhs|| <= tol * ||rhs||``, run on ``rhs`` divided
+    by a power of two (exact) so that no dot product overflows or underflows.
     """
+    s = math.ldexp(1.0, math.frexp(np.abs(rhs).max(initial=0.0))[1] - 1)
+    rhs = rhs / s
     nb = math.sqrt(rhs @ rhs)  # what np.linalg.norm computes for 1-d input
     if nb == 0.0:
         return np.zeros_like(rhs), 0.0, 0
-    x = np.zeros_like(rhs)
-    r = rhs - (A @ x + d * x)
+    x = np.zeros_like(rhs) if x0 is None else x0 / s
+    r = rhs if x0 is None else rhs - (A @ x + d * x)  # rhs: our own copy
     inv_d = 1.0 / (A.diagonal() + d)
     z = inv_d * r
     p = z.copy()
@@ -124,7 +126,7 @@ def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-    return x, nr / nb, it
+    return x * s, nr / nb, it
 
 
 def solve_spd(opr: AssembledOperator, shift: np.ndarray, rhs: np.ndarray,

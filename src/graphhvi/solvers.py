@@ -4,8 +4,8 @@ The elliptic path solves ``(K + C) phi + M xi = M f`` with
 ``xi(v) in dj(phi(v))`` by a primal-dual active-set (semismooth Newton)
 method on the exact inclusion: nodes are either pinned at a breakpoint of
 the density, with ``xi`` free in the jump interval, or free on one
-polynomial piece, where the density is linearised; each step is one SPD
-solve on the free nodes.
+polynomial piece, where the density is linearised; each step solves the
+linearisation on the free nodes by CG, loosely far from the solution.
 
 The parabolic path is implicit Euler: every time step is the elliptic
 problem with ``kappa + mu/tau`` and load ``f + phi_prev/tau``, solved by the
@@ -238,8 +238,10 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     moves one step along this order: a free node crossing a breakpoint is
     pinned at the first one it crosses, and a pinned node whose required
     ``xi`` lies above (below) its interval is released to the right
-    (left).  Each step is one SPD solve on the free nodes with a merit line
-    search on the residual norm.  Reports the best iterate, without
+    (left).  Each step solves the linearisation on the free nodes by CG to
+    ``max(min(0.1, rn / rn0) ** 2, 1e-13)`` (``rn0``: the starting residual
+    norm), and on to 1e-13 if that step stays inside every free node's
+    piece; a merit line search follows.  Reports the best iterate, without
     certificates; the last trace entry names the reason the loop stopped.
     """
     density = sp.density
@@ -250,7 +252,7 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     s = (np.searchsorted(bp, phi, side="left")
          + np.searchsorted(bp, phi, side="right"))
     m = _measure(opr, sp, phi, f)
-    best, seen, trace = (phi, *m), {}, []
+    best, seen, trace, rn0 = (phi, *m), {}, [], m[0]
     steps = solves = iters = backtracks = 0
     while True:
         rn, target, lo, hi, _ = m
@@ -284,8 +286,12 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         diag = kappa[free] + mu[free] * density.derivative(x, piece)
         diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
         Kf = K if len(free) == n else K[free][:, free]
-        dx, _, iters = _pcg(Kf, diag, -r, 1e-13, 4 * len(free) + 200)
+        cap, eta = 4 * len(free) + 200, max(min(0.1, rn / rn0) ** 2, 1e-13)
+        dx, _, iters = _pcg(Kf, diag, -r, eta, cap)
         left, right = ends[piece], ends[piece + 1]
+        if eta > 1e-13 and np.all((x + dx > left) & (x + dx < right)):
+            dx, _, polish = _pcg(Kf, diag, -r, 1e-13, cap, dx)
+            iters += polish
 
         def move(alpha):
             step = x + alpha * dx

@@ -64,6 +64,33 @@ class TestNorms:
         g = gh.from_data([("a", 1, 1)], [])
         assert gh.lp_norm_edges(g, np.zeros(0), 2.0) == 0.0
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_no_overflow_near_the_largest_float(self, p):
+        # |v| ** p overflows before the root is taken, unscaled
+        g = two_node(mu=(1.0, 1.0))
+        phi = np.array([1e300, 1e301])
+        with np.errstate(all="raise"):
+            norm = gh.lp_norm_nodes(g, phi, p)
+        want = {1.0: 1.1e301, 2.0: math.sqrt(1.01) * 1e301,
+                3.0: 1.001 ** (1 / 3) * 1e301, math.inf: 1e301}[p]
+        assert norm == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_no_underflow_to_zero(self, p):
+        # (1e-200) ** 2 underflows to 0, unscaled
+        g = two_node(mu=(1.0, 1.0))
+        with np.errstate(all="raise"):
+            norm = gh.lp_norm_nodes(g, np.array([1e-200, 0.0]), p)
+        assert norm == pytest.approx(1e-200, rel=1e-14)
+
+    def test_tail_mass_near_the_largest_float(self):
+        g = gh.from_data([("a", 1, 1), ("b", 1, 1), ("c", 1, 1)],
+                         [("a", "b", 1.0, 1.0), ("b", "c", 1.0, 1.0)])
+        with np.errstate(all="raise"):
+            diag = gh.embedding_diagnostics(g, "a", 0.5,
+                                            np.array([0.0, 3e300, 4e300]))
+        assert diag.tail_mass == pytest.approx(5e300, rel=1e-14)
+
     @given(c=st.floats(-10, 10), p=st.sampled_from([1.0, 2.0, math.inf]),
            seed=st.integers(0, 50))
     def test_homogeneity(self, c, p, seed):

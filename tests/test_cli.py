@@ -536,6 +536,18 @@ class TestExhaust:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["level_sizes"] == [4, 1075]
 
+    def test_load_near_the_largest_float(self, tmp_path):
+        # finite loads 1e300 and 1e301 on the first level: their squares
+        # overflow unless the norms and CG scale them first
+        doc = dict(EXHAUST_DOC, kind="path", f={
+            "formula": "geometric-in-depth", "value": 1e300, "ratio": 10.0})
+        gen_path = write(tmp_path / "gen.json", doc)
+        proc = run_module("exhaust", "--generator", gen_path,
+                          "--radii", "2,4,8")
+        assert proc.stderr == ""   # no RuntimeWarning
+        norm = json.loads(proc.stdout)["final_residual_norm"]
+        assert isinstance(norm, float) and math.isfinite(norm)
+
     def test_linear_solve_breakdown(self, tmp_path, capsys):
         # conductances near 1e300 make p @ Ap underflow to 0 in the CG loop:
         # a non-convergence report, not a ZeroDivisionError

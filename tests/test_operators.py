@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import graphhvi as gh
-from graphhvi.operators import (LinearSolveError, assemble, bilinear_form,
-                                coercivity_gap, constants, solve_spd)
+from graphhvi.operators import (LinearSolveError, _pcg, assemble,
+                                bilinear_form, coercivity_gap, constants,
+                                solve_spd)
 
 from conftest import make_random_graph
 
@@ -167,3 +169,84 @@ class TestSolveSPD:
         a = solve_spd(opr, shift, rhs)
         b = solve_spd(opr, shift, rhs)
         np.testing.assert_array_equal(a, b)
+
+
+def zero_start_pcg(A, d, rhs, tol, max_iter):
+    """The CG loop as it ran before warm starts and right-hand-side scaling:
+    from zero, on ``rhs`` as given."""
+    nb = math.sqrt(rhs @ rhs)
+    if nb == 0.0:
+        return np.zeros_like(rhs), 0.0, 0
+    x = np.zeros_like(rhs)
+    r = rhs - (A @ x + d * x)
+    inv_d = 1.0 / (A.diagonal() + d)
+    z = inv_d * r
+    p = z.copy()
+    rz = float(r @ z)
+    nr = math.sqrt(r @ r)
+    stop = tol * nb
+    it = 0
+    while nr > stop and it < max_iter:
+        Ap = A @ p + d * p
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:
+            break
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        nr = math.sqrt(r @ r)
+        it += 1
+        if nr > stop:
+            z = inv_d * r
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+    return x, nr / nb, it
+
+
+class TestPCG:
+    """``_pcg`` with and without a warm start ``x0``."""
+
+    @staticmethod
+    def system(seed, max_nodes=80):
+        rng = np.random.default_rng(seed)
+        g = make_random_graph(rng, max_nodes=max_nodes)
+        d = g.kappa + rng.uniform(0.0, 1e-3, g.num_nodes)
+        return assemble(g).stiffness, d, rng.normal(size=g.num_nodes) * 7.3
+
+    def test_zero_start_matches_the_plain_loop_bytewise(self):
+        for seed in range(20):
+            A, d, rhs = self.system(seed)
+            for tol in (1e-2, 1e-13):
+                x, rel, it = _pcg(A, d, rhs, tol, 500)
+                ox, orel, oit = zero_start_pcg(A, d, rhs, tol, 500)
+                assert x.tobytes() == ox.tobytes()
+                assert (rel, it) == (orel, oit)
+
+    def test_exact_start_takes_no_iteration(self):
+        A = sparse.csr_matrix((2, 2))
+        x, rel, it = _pcg(A, np.array([2.0, 4.0]), np.array([2.0, 8.0]),
+                          1e-13, 50, np.array([1.0, 2.0]))
+        assert (x.tolist(), rel, it) == ([1.0, 2.0], 0.0, 0)
+
+    def test_warm_start_from_a_loose_solution(self):
+        for seed in range(5):
+            A, d, rhs = self.system(seed, max_nodes=200)
+            loose, rel, _ = _pcg(A, d, rhs, 1e-2, 1000)
+            assert 1e-13 < rel <= 1e-2
+            x0 = loose.copy()
+            x, rel, it = _pcg(A, d, rhs, 1e-13, 1000, x0)
+            assert rel <= 1e-13 and it > 0
+            assert x0.tobytes() == loose.tobytes()   # not modified
+            assert (np.linalg.norm(A @ x + d * x - rhs)
+                    <= 1.01e-13 * np.linalg.norm(rhs))
+
+    def test_extreme_right_hand_sides(self):
+        # ||rhs||^2 overflows (1e301) or underflows (1e-200) unscaled
+        A = sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        for scale in (1e301, 1e-200):
+            rhs = np.array([1.0, 2.0]) * scale
+            with np.errstate(all="raise"):
+                x, rel, it = _pcg(A, np.ones(2), rhs, 1e-13, 50)
+            assert rel <= 1e-13 and it > 0
+            np.testing.assert_allclose(A @ x + x, rhs, rtol=1e-12)

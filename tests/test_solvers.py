@@ -201,6 +201,57 @@ class TestActiveSet:
         assert rep.iterations[-1]["reason"] == "cycled"
 
 
+class TestInexactNewton:
+    """Inner CG tolerance ``min(0.1, rn / rn0) ** 2``, made exact within the
+    step once the step stays inside the current pieces."""
+
+    @staticmethod
+    def lattice_problem(spec, c=1.0):
+        """The bench's 481-node lattice, kappa 1e-3, load
+        ``3 (1 + depth)^(-1/2)``; mu, kappa and gamma times ``c``."""
+        one = WeightLaw("constant", {"value": 1.0})
+        g = truncate(GraphGenerator("lattice-2d", one, one, one,
+                                    WeightLaw("constant", {"value": 1e-3})),
+                     16)
+        assert g.num_nodes == 481
+        depth = np.array([sum(abs(int(t)) for t in v.split(","))
+                          for v in g.nodes], dtype=float)
+        g = dataclasses.replace(g, mu=c * g.mu, kappa=c * g.kappa,
+                                gamma=c * g.gamma)
+        return EllipticProblem(g, density(spec), 3.0 * (1.0 + depth) ** -0.5)
+
+    @pytest.mark.parametrize("spec", [ABS, NONCONVEX3],
+                             ids=["abs", "nonconvex3"])
+    def test_units_do_not_change_the_solve(self, spec):
+        # the weights times 4**10 leave L unchanged and scale the
+        # mu-weighted residual norm by exactly 2**10, and so the tolerance
+        runs = [solve_elliptic(self.lattice_problem(spec, c),
+                               SolverOptions(tol=t, with_certificates=False))
+                for c, t in ((1.0, 1e-8), (4.0 ** 10, 1e-8 * 2.0 ** 10))]
+        steps = [[(t["inner_steps"], t["linear_iters"], t["backtracks"],
+                   t["active"]) for t in rep.iterations] for rep in runs]
+        assert len(steps[0]) > 2
+        assert steps[0] == steps[1]
+        assert runs[0].phi.tobytes() == runs[1].phi.tobytes()
+
+    def test_linear_iters_count_both_solves(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            out = pcg(*args)
+            calls.append(out[2])
+            return out
+
+        pcg = graphhvi.solvers._pcg
+        monkeypatch.setattr(graphhvi.solvers, "_pcg", counting)
+        rep = solve_elliptic(self.lattice_problem(ABS))
+        assert rep.converged
+        trace = rep.iterations
+        assert [t["inner_steps"] for t in trace] == [0] + [1] * len(trace[1:])
+        assert len(trace) - 1 < len(calls)   # some steps were polished
+        assert sum(t["linear_iters"] for t in trace[1:]) == sum(calls)
+
+
 def _sweep_graphs():
     one = WeightLaw("constant", {"value": 1.0})
     two = WeightLaw("constant", {"value": 2.0})
