@@ -108,35 +108,6 @@ class GraphGenerator:
                     raise ValueError(f"weight law {name} not positive at "
                                      f"depth {d}")
 
-    @property
-    def root(self) -> tuple:
-        return {"path": (0,), "binary-tree": ("",), "lattice-2d": (0, 0)}[self.kind]
-
-    def node_id(self, node: tuple) -> str:
-        if self.kind == "path":
-            return str(node[0])
-        if self.kind == "binary-tree":
-            return "r" + node[0]
-        return f"{node[0]},{node[1]}"
-
-    def children(self, node: tuple):
-        """The neighbours of ``node`` one level deeper, in a fixed order."""
-        if self.kind == "path":
-            yield (node[0] + 1,)
-        elif self.kind == "binary-tree":
-            yield (node[0] + "0",)
-            yield (node[0] + "1",)
-        else:
-            x, y = node
-            if x >= 0:
-                yield (x + 1, y)
-            if x <= 0:
-                yield (x - 1, y)
-            if y >= 0:
-                yield (x, y + 1)
-            if y <= 0:
-                yield (x, y - 1)
-
 
 def _depth_weights(gen: GraphGenerator, name: str, n: int) -> np.ndarray:
     """Weight law ``name`` at depths 0 .. n - 1, each finite and positive."""
@@ -149,43 +120,71 @@ def _depth_weights(gen: GraphGenerator, name: str, n: int) -> np.ndarray:
 
 
 _MAX_NODES = 100_000
+# the number of nodes at depth d >= 1 of each kind's layout
+_LEVEL_SIZE = {"path": lambda d: 1, "binary-tree": lambda d: 2 ** d,
+               "lattice-2d": lambda d: 4 * d}
+
+
+def _layout(kind: str, depth: int) -> tuple:
+    """The ball of depths 0 .. ``depth``: node ids ordered by depth, then by
+    id, the depth of each node, and the adjacencies as (shallower, deeper)
+    index arrays, ordered by the shallower end, then by child slot."""
+    d = np.arange(depth + 1, dtype=np.intp)
+    if kind == "path":
+        return list(map(str, range(depth + 1))), d, d[:-1], d[1:]
+    if kind == "binary-tree":
+        # heap layout: a level's ids sorted are its codes in binary order,
+        # and node i has children 2i + 1 and 2i + 2
+        ids = ["r"]
+        for k in range(depth):
+            ids += [u + c for u in ids[2 ** k - 1:] for c in "01"]
+        b = np.arange(1, len(ids), dtype=np.intp)
+        return ids, np.repeat(d, 2 ** d), (b - 1) // 2, b
+    # lattice-2d: the diamond |x| + |y| <= depth
+    c = np.arange(-depth, depth + 1)
+    inside = np.abs(c)[:, None] + np.abs(c) <= depth
+    x, y = (v[inside] for v in np.meshgrid(c, c))
+    names = np.array(list(map(str, c)))
+    ids = np.char.add(np.char.add(names, ",")[x + depth], names[y + depth])
+    order = np.lexsort((ids, np.abs(x) + np.abs(y)))
+    ids, x, y = ids[order], x[order], y[order]
+    node_depth = np.abs(x) + np.abs(y)
+    grid = np.empty((2 * depth + 1, 2 * depth + 1), dtype=np.intp)
+    grid[x, y] = np.arange(len(x))    # negative coordinates from the end
+    # the child slots of the nodes above depth: (x+1, y) if x >= 0,
+    # (x-1, y) if x <= 0, (x, y+1) if y >= 0 and (x, y-1) if y <= 0
+    m = np.searchsorted(node_depth, depth)
+    x, y = x[:m, None], y[:m, None]
+    has = np.hstack((x >= 0, x <= 0, y >= 0, y <= 0))
+    b = grid[(x + [1, -1, 0, 0])[has], (y + [0, 0, 1, -1])[has]]
+    return ids.tolist(), node_depth, np.nonzero(has)[0], b
 
 
 def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray]:
-    """The truncations at the increasing ``radii``, sliced from one walk out
-    to the largest, and the depth of each node of the largest."""
+    """The truncations at the increasing ``radii``, sliced from one layout
+    of the largest, and the depth of each node of the largest."""
     # Every edge joins depth d to depth d + 1, so a depth-d node lies at
     # rho-distance rho(0) + ... + rho(d - 1): each ball is whole levels.
-    level, ids, sizes = [gen.root], [gen.node_id(gen.root)], [1]
-    src, dst, dist, cuts = [], [], gen.rho(0), []
+    depth, count, dist, cuts = 0, 1, gen.rho(0), []
     for r in radii:
-        while dist < r and len(ids) <= _MAX_NODES:
-            kids = [list(gen.children(u)) for u in level]
-            pairs = sorted((gen.node_id(v), v)
-                           for v in {v for vs in kids for v in vs})
-            index = {v: i for i, (_, v) in enumerate(pairs, len(ids))}
-            src += [i for i, vs in enumerate(kids, len(ids) - len(level))
-                    for _ in vs]
-            dst += [index[v] for vs in kids for v in vs]
-            level = [v for _, v in pairs]
-            ids += [vid for vid, _ in pairs]
-            sizes.append(len(level))
-            dist += gen.rho(len(sizes) - 1)
-        cuts.append((len(ids), len(src)))
-    if len(ids) > _MAX_NODES:
+        while dist < r and count <= _MAX_NODES:
+            depth += 1
+            count += _LEVEL_SIZE[gen.kind](depth)
+            dist += gen.rho(depth)
+        cuts.append(depth)
+    if count > _MAX_NODES:
         raise ValueError(f"ball exceeds max_nodes={_MAX_NODES}; "
                          "radius too large for this rho law")
-    n = len(sizes)
-    node_depth = np.repeat(range(n), sizes)
-    mu, kappa = (_depth_weights(gen, w, n)[node_depth]
+    ids, node_depth, a, b = _layout(gen.kind, depth)
+    mu, kappa = (_depth_weights(gen, w, depth + 1)[node_depth]
                  for w in ("mu", "kappa"))
-    # each adjacency is (shallower, deeper)
-    a, b = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    rho, gamma = (_depth_weights(gen, w, n - 1)[node_depth[a]]
+    edge_depth = node_depth[a]
+    rho, gamma = (_depth_weights(gen, w, depth)[edge_depth]
                   for w in ("rho", "gamma"))
     return [WeightedGraph.undirected(ids[:k], mu[:k], kappa[:k], a[:m], b[:m],
                                      rho[:m], gamma[:m])
-            for k, m in cuts], node_depth
+            for k, m in zip(np.searchsorted(node_depth, cuts, side="right"),
+                            np.searchsorted(edge_depth, cuts))], node_depth
 
 
 def truncate(gen: GraphGenerator, r: float) -> WeightedGraph:
@@ -229,7 +228,6 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
                          f"strictly increasing: {radii}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite: {eps}")
-    root_id = gen.node_id(gen.root)
     graphs, node_depth = _balls(gen, radii)
     f_depth = [f_law(d) for d in range(node_depth[-1] + 1)]
     for d, x in enumerate(f_depth):
@@ -251,7 +249,7 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
             increments.append(sobolev_norms(graphs[i - 1], diff).w_hilbert)
         reports.append(rep)
         tail_r = radii[i - 1] if i > 0 else r / 2.0
-        tails.append(embedding_diagnostics(g, root_id, tail_r,
+        tails.append(embedding_diagnostics(g, g.nodes[0], tail_r,
                                            rep.phi).tail_mass)
         if not rep.converged:
             return ExhaustionReport(radii[:i + 1], reports, graphs[:i + 1],

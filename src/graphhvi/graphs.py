@@ -58,8 +58,6 @@ class WeightedGraph:
         for arr in (self.mu, self.kappa, self.edge_src, self.edge_dst,
                     self.rho, self.gamma):
             arr.setflags(write=False)
-        object.__setattr__(self, "_index",
-                           {v: i for i, v in enumerate(self.nodes)})
 
     @classmethod
     def undirected(cls, nodes, mu, kappa, a, b, rho, gamma) -> WeightedGraph:
@@ -80,14 +78,18 @@ class WeightedGraph:
 
     def node_index(self, node_id: str) -> int:
         try:
-            return self._index[node_id]
-        except KeyError:
+            return self.nodes.index(node_id)  # _index costs more for one id
+        except ValueError:
             raise GraphFormatError(f"unknown node id: {node_id!r}") from None
 
     @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @cached_property
     def json_ids(self) -> tuple[str, ...]:
-        """Node ids as JSON string literals, escaped once for every report."""
-        return tuple(map(json.dumps, self.nodes))
+        """Node ids as JSON string literals (``json.dumps``), escaped once."""
+        return tuple(map(json.encoder.encode_basestring_ascii, self.nodes))
 
     @property
     def mu_total(self) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphhvi as gh
+from graphhvi import exhaustion
 from graphhvi.exhaustion import (GraphGenerator, WeightLaw, exhaust,
                                  generator_from_document, truncate)
 from graphhvi.graphs import distances_from, from_data
@@ -99,16 +100,22 @@ class TestGenerator:
                            kappa=constant())
 
     def test_depth_and_ids(self):
-        gen = path_generator()
-        assert gen.node_id((3,)) == "3"
+        # ids of a truncation, by depth and then by id as strings
+        assert truncate(path_generator(), 3.5).nodes == ("0", "1", "2", "3")
         tree = GraphGenerator(kind="binary-tree", mu=constant(),
                               rho=constant(), gamma=constant(),
                               kappa=constant())
-        assert tree.node_id(("01",)) == "r01"
+        assert truncate(tree, 2.5).nodes == ("r", "r0", "r1", "r00", "r01",
+                                             "r10", "r11")
         lat = GraphGenerator(kind="lattice-2d", mu=constant(),
                              rho=constant(), gamma=constant(),
                              kappa=constant())
-        assert lat.node_id((-2, 1)) == "-2,1"
+        nodes = truncate(lat, 3.5).nodes
+        assert nodes[:5] == ("0,0", "-1,0", "0,-1", "0,1", "1,0")
+        # "-1,1" < "-2,0" as strings
+        assert nodes[5:13] == ("-1,-1", "-1,1", "-2,0", "0,-2", "0,2",
+                               "1,-1", "1,1", "2,0")
+        assert len(nodes) == 25 and nodes[-1] == "3,0"
 
 
 class TestTruncate:
@@ -201,6 +208,18 @@ def node_tuples(kind, max_depth):
             if abs(x) + abs(y) <= max_depth]
 
 
+ROOTS = {"path": (0,), "binary-tree": ("",), "lattice-2d": (0, 0)}
+
+
+def node_id(kind, node):
+    """The id of a node given as a tuple: ``"3"``, ``"r01"`` or ``"-2,1"``."""
+    if kind == "path":
+        return str(node[0])
+    if kind == "binary-tree":
+        return "r" + node[0]
+    return f"{node[0]},{node[1]}"
+
+
 def tuple_depth(kind, node):
     if kind == "path":
         return node[0]
@@ -210,7 +229,8 @@ def tuple_depth(kind, node):
 
 
 def all_neighbors(kind, node):
-    """Every neighbour of a node, in the order ``children`` keeps."""
+    """Every neighbour of a node; the deeper ones in the generator's child
+    slot order."""
     if kind == "path":
         (d,) = node
         return [(d - 1,), (d + 1,)] if d > 0 else [(d + 1,)]
@@ -225,20 +245,29 @@ def all_neighbors(kind, node):
 def record_truncation(gen, r):
     """The truncation built as records, from ``node_tuples`` and
     ``all_neighbors`` filtered by depth, and validated by ``from_data``."""
+    def vid(u):
+        return node_id(gen.kind, u)
     levels, dist = [], 0.0
     while not levels or dist < r:
         d = len(levels)
         levels.append(sorted((u for u in node_tuples(gen.kind, d)
-                              if tuple_depth(gen.kind, u) == d),
-                             key=gen.node_id))
+                              if tuple_depth(gen.kind, u) == d), key=vid))
         dist += gen.rho(d)
-    nodes = [(gen.node_id(u), gen.mu(d), gen.kappa(d))
+    nodes = [(vid(u), gen.mu(d), gen.kappa(d))
              for d, level in enumerate(levels) for u in level]
-    adj = [(gen.node_id(u), gen.node_id(v), gen.rho(d), gen.gamma(d))
+    adj = [(vid(u), vid(v), gen.rho(d), gen.gamma(d))
            for d, level in enumerate(levels[:-1]) for u in level
            for v in all_neighbors(gen.kind, u)
            if tuple_depth(gen.kind, v) == d + 1]
     return from_data(nodes, adj)
+
+
+def assert_same_graph(g, ref):
+    assert g.nodes == ref.nodes
+    for name in ("mu", "kappa", "edge_src", "edge_dst", "rho", "gamma"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def edge_set(g, keep=None):
@@ -252,34 +281,72 @@ class TestTruncateOracle:
     """``truncate`` against scipy's Dijkstra on a larger truncation, and
     against the same graph built from records by ``from_data``."""
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_children_are_deeper_neighbours(self, kind):
-        gen = depth_generator(kind, RHO_LAWS["constant"])
-        for u in node_tuples(kind, 6):
-            d = tuple_depth(kind, u)
-            assert list(gen.children(u)) == [
-                v for v in all_neighbors(kind, u)
-                if tuple_depth(kind, v) == d + 1]
-
     @pytest.mark.parametrize("law", sorted(RHO_LAWS))
     @pytest.mark.parametrize("kind", KINDS)
     def test_arrays_equal_record_build(self, kind, law):
         gen = depth_generator(kind, RHO_LAWS[law])
         for r in RADII:
-            g, ref = truncate(gen, r), record_truncation(gen, r)
-            assert g.nodes == ref.nodes
-            for name in ("mu", "kappa", "edge_src", "edge_dst", "rho",
-                         "gamma"):
-                a, b = getattr(g, name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
+            assert_same_graph(truncate(gen, r), record_truncation(gen, r))
+
+    @pytest.mark.parametrize("kind, depth", [("path", 120),
+                                             ("binary-tree", 12),
+                                             ("lattice-2d", 24)])
+    def test_deep_balls_equal_record_build(self, kind, depth):
+        # on the lattice, from depth 10 on, string order is not coordinate
+        # order: "-10" < "-2" < "0" < "10" < "2"
+        gen = depth_generator(kind, RHO_LAWS["constant"])
+        for r in (depth - 0.5, depth + 0.5):
+            assert_same_graph(truncate(gen, r), record_truncation(gen, r))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_max_nodes_guard_per_kind(self, kind, monkeypatch):
+        # a ball is built exactly when it holds at most _MAX_NODES nodes
+        gen = depth_generator(kind, RHO_LAWS["constant"])
+        sizes = [record_truncation(gen, d + 0.5).num_nodes for d in range(5)]
+        for limit in range(1, sizes[-1] + 1):
+            monkeypatch.setattr("graphhvi.exhaustion._MAX_NODES", limit)
+            for d, size in enumerate(sizes):
+                if size <= limit:
+                    assert truncate(gen, d + 0.5).num_nodes == size
+                else:
+                    with pytest.raises(ValueError,
+                                       match=f"max_nodes={limit};"):
+                        truncate(gen, d + 0.5)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weight_law_errors_per_kind(self, kind):
+        def gen(**laws):
+            return GraphGenerator(kind=kind, **{
+                "mu": constant(), "rho": constant(), "gamma": constant(),
+                "kappa": constant(), **laws})
+        # 1e-300 * 1e-6 ** 4 is 0.0, a node law at the depth-4 nodes
+        tiny = WeightLaw("geometric-in-depth", {"value": 1e-300,
+                                                "ratio": 1e-6})
+        size = record_truncation(gen(), 4.0).num_nodes    # depths 0 to 3
+        for name in ("mu", "kappa"):
+            assert truncate(gen(**{name: tiny}), 4.0).num_nodes == size
+            with pytest.raises(ValueError,
+                               match=rf"{name} at depth 4: 0\.0$"):
+                truncate(gen(**{name: tiny}), 4.5)
+        # 1e300 * 10.0 ** 9 is inf, an edge law at the depth-9 edges
+        huge = WeightLaw("geometric-in-depth", {"value": 1e300,
+                                                "ratio": 10.0})
+        assert truncate(gen(gamma=huge), 10.0).gamma.max() == 1e308
+        with pytest.raises(ValueError, match=r"gamma at depth 9: inf$"):
+            truncate(gen(gamma=huge), 10.5)
+        # 6.0 ** 400 raises OverflowError as the walk reaches depth 5
+        steep = WeightLaw("power-in-depth", {"value": 1.0,
+                                             "exponent": 400.0})
+        with pytest.raises(ValueError,
+                           match="power-in-depth law overflows at depth 5$"):
+            truncate(gen(rho=steep), 1e300)
 
     @pytest.mark.parametrize("law", sorted(RHO_LAWS))
     @pytest.mark.parametrize("kind", KINDS)
     def test_ball_order_and_induced_edges(self, kind, law):
         gen = depth_generator(kind, RHO_LAWS[law])
         big = truncate(gen, BIG_R)
-        root = gen.node_id(gen.root)
+        root = node_id(kind, ROOTS[kind])
         dist = dict(zip(big.nodes, distances_from(big, root)))
         for r in RADII:
             g = truncate(gen, r)
@@ -304,13 +371,7 @@ class TestTruncateOracle:
         rep = exhaust(gen, quad_density(0.5), constant(1.0), RADII, 1e-6)
         assert len(rep.graphs) == len(RADII)
         for r, g in zip(RADII, rep.graphs):
-            ref = truncate(gen, r)
-            assert g.nodes == ref.nodes
-            for name in ("mu", "kappa", "edge_src", "edge_dst", "rho",
-                         "gamma"):
-                a, b = getattr(g, name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
+            assert_same_graph(g, truncate(gen, r))
 
 
 LOAD_LAWS = (WeightLaw("root-only", {"value": 2.0}),
@@ -375,7 +436,7 @@ class TestExhaust:
         gen = depth_generator(kind, RHO_LAWS["power"])
         sp = abs_density(0.3)
         rep = exhaust(gen, sp, f_law, [1.0, 2.5, 4.4], 1e-6)
-        tuples = {gen.node_id(u): u for u in node_tuples(kind, 8)}
+        tuples = {node_id(kind, u): u for u in node_tuples(kind, 8)}
         assert all(s.converged for s in rep.solutions)
         assert len(rep.graphs) == 3
         for g, sol in zip(rep.graphs, rep.solutions):
@@ -384,17 +445,16 @@ class TestExhaust:
             assert np.max(gh.verify_inclusion(g, sp, sol.phi, f)) <= 1e-8
 
     def test_one_walk_per_study(self, monkeypatch):
-        expanded = []
-        real = GraphGenerator.children
-        monkeypatch.setattr(GraphGenerator, "children",
-                            lambda gen, u: expanded.append(u) or real(gen, u))
+        calls = []
+        real = exhaustion._layout
+        monkeypatch.setattr(exhaustion, "_layout", lambda kind, depth:
+                            calls.append((kind, depth)) or real(kind, depth))
         gen = depth_generator("lattice-2d", RHO_LAWS["constant"])
         rep = exhaust(gen, quad_density(0.5), constant(1.0), RADII, 1e-6)
         assert len(rep.graphs) == len(RADII)
-        # unit rho: the largest ball (radius 5.5) holds depths 0 to 5, and
-        # each node of depth 0 to 4 is expanded exactly once
-        assert sorted(expanded) == sorted(
-            u for u in node_tuples("lattice-2d", 4))
+        # unit rho: the largest ball (radius 5.5) holds depths 0 to 5, laid
+        # out once and sliced for the smaller radii
+        assert calls == [("lattice-2d", 5)]
 
     def test_increments_align_by_node_id(self):
         # each increment compares consecutive solutions node by node
@@ -407,6 +467,79 @@ class TestExhaust:
             diff -= rep.solutions[i].phi
             assert rep.increments[i] == gh.sobolev_norms(small,
                                                          diff).w_hilbert
+
+
+class TestInfiniteGraphLimit:
+    """``exhaust`` on the path and the binary tree against closed forms.
+
+    Unit mu, rho and gamma, kappa ``K``, beta(t) = ``C`` t and a root-only
+    load ``F``.  Every node has one parent (but the root) and ``deg``
+    children, so the solution is radial: ``phi_d`` at depth d solves
+    ``deg (phi_0 - phi_1) + s phi_0 = F`` at the root and
+    ``(phi_d - phi_{d-1}) + deg (phi_d - phi_{d+1}) + s phi_d = 0`` below
+    it, with ``s = K + C``.  Off the boundary ``phi_d`` is a sum of the modes
+    ``q^d`` of ``deg q^2 - (deg + 1 + s) q + 1 = 0``.  On the infinite graph
+    only the decaying mode ``q1 < 1`` is left.  The ball of depths 0 .. R
+    keeps no edge below depth R, so there ``deg (phi_R - phi_{R+1})`` drops
+    out.
+    """
+
+    K, C, F = 1.0, 0.5, 2.0
+    RADII = (2, 4, 8, 12)   # unit rho: depths 0 .. radius - 1
+
+    @classmethod
+    def modes(cls, deg):
+        b = deg + 1 + cls.K + cls.C
+        q2 = (b + math.sqrt(b * b - 4 * deg)) / (2 * deg)
+        return 1 / (deg * q2), q2
+
+    @classmethod
+    def infinite(cls, deg, depth):
+        q1, _ = cls.modes(deg)
+        return cls.F / (deg * (1 - q1) + cls.K + cls.C) * q1 ** depth
+
+    @classmethod
+    def finite(cls, deg, depth, R):
+        """``A q1^d + B q2^(d - R)``, from the root and boundary rows."""
+        (q1, q2), s = cls.modes(deg), cls.K + cls.C
+        A, B = np.linalg.solve(
+            [[deg * (1 - q1) + s, q2 ** -R * (deg * (1 - q2) + s)],
+             [q1 ** (R - 1) * ((1 + s) * q1 - 1), ((1 + s) * q2 - 1) / q2]],
+            [cls.F, 0.0])
+        return A * q1 ** depth + B * q2 ** (depth - R)
+
+    @pytest.mark.parametrize("kind, deg", [("path", 1), ("binary-tree", 2)])
+    def test_levels_increments_and_tails(self, kind, deg):
+        gen = GraphGenerator(kind=kind, mu=constant(), rho=constant(),
+                             gamma=constant(), kappa=constant(self.K))
+        rep = exhaust(gen, quad_density(self.C),
+                      WeightLaw("root-only", {"value": self.F}),
+                      self.RADII, 1e-6)
+        assert all(sol.converged for sol in rep.solutions)
+        # phi by depth on each ball, and the node count at each depth
+        exact = [self.finite(deg, np.arange(r), r - 1) for r in self.RADII]
+        count = deg ** np.arange(self.RADII[-1])
+        for g, sol, phi in zip(rep.graphs, rep.solutions, exact):
+            depth = [int(v) if kind == "path" else len(v) - 1
+                     for v in g.nodes]
+            assert np.max(np.abs(sol.phi - phi[depth])) < 1e-10
+        # the largest ball is within q1^R of the infinite graph
+        R, (q1, _) = self.RADII[-1] - 1, self.modes(deg)
+        far = self.infinite(deg, np.arange(R + 1))
+        assert np.max(np.abs(exact[-1] - far)) < q1 ** R
+        assert np.max(np.abs(rep.solutions[-1].phi - far[depth])) < q1 ** R
+        # an increment sums diff^2 over the nodes and the squared
+        # difference over the edges, each adjacency in both orientations
+        for i, phi in enumerate(exact[:-1]):
+            diff = exact[i + 1][:len(phi)] - phi
+            n = count[:len(phi)]
+            want = math.sqrt(n @ diff ** 2 + 2 * n[1:] @ np.diff(diff) ** 2)
+            assert rep.increments[i] == pytest.approx(want, rel=1e-9)
+        # a tail sums phi^2 over the depths not below the previous radius
+        for i, phi in enumerate(exact):
+            cut = math.ceil(self.RADII[i - 1] if i else self.RADII[0] / 2)
+            want = math.sqrt(count[cut:len(phi)] @ phi[cut:] ** 2)
+            assert rep.tail_masses[i] == pytest.approx(want, rel=1e-9)
 
 
 class TestDocuments:

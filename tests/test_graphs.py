@@ -164,6 +164,16 @@ class TestNodeFunctions:
         np.testing.assert_allclose(gh.node_function(g, table), phi)
 
 
+class TestJsonIds:
+    IDS = ["plain", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+           "caf\u00e9", "\u65e5\u672c", "\U0001d11e", "\ud800", "", " "]
+
+    def test_equal_json_dumps(self):
+        g = gh.from_data([(v, 1.0, 1.0) for v in self.IDS], [])
+        assert g.json_ids == tuple(map(json.dumps, self.IDS))
+        assert [json.loads(s) for s in g.json_ids] == self.IDS
+
+
 class TestMetricStructure:
     def path3(self):
         return gh.from_data(
@@ -197,6 +207,11 @@ class TestMetricStructure:
         assert gh.ball(g, "a", 100.0) == {"a", "b", "c"}
         with pytest.raises(ValueError):
             gh.ball(g, "a", 0.0)
+
+    def test_unhashable_center_is_unknown(self):
+        with pytest.raises(GraphFormatError,
+                           match=r"unknown node id: \['a'\]"):
+            gh.ball(self.path3(), ["a"], 1.0)
 
     def test_volume_counts_both_orientations(self):
         assert gh.volume(self.path3()) == pytest.approx(6.0)

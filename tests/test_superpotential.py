@@ -232,7 +232,8 @@ def _lattice_estimate(sp, r):
     their 1e-6 and 1e-3 offsets), floored at 0; a lower estimate of the
     relaxed-monotonicity constant.  Also returns a bound on its round-off:
     each quotient divides a sum of products ``beta * d`` by ``d^2``, so its
-    absolute error is a few ``eps * max |beta| / |d|``."""
+    absolute error is a few ``eps * max |beta| / |d|``, plus a few
+    subnormal units over ``d^2`` where the products are subnormal."""
     bp = sp.density.breakpoints
     pts = [np.linspace(-r, r, 200)]
     for off in (0.0, 1e-6, 1e-3):
@@ -243,7 +244,9 @@ def _lattice_estimate(sp, r):
     mask = np.abs(d) > 1e-12
     est = max(0.0, float(np.max(ratio[mask] / d[mask] ** 2, initial=0.0)))
     beta = np.max(np.abs(sp.interval(lat)))
-    err = 4 * np.finfo(float).eps * beta / np.min(np.abs(d[mask]))
+    d_min = np.min(np.abs(d[mask]))
+    err = 4 * (np.finfo(float).eps * beta / d_min
+               + np.finfo(float).smallest_subnormal / d_min ** 2)
     return est, float(err)
 
 
@@ -299,6 +302,11 @@ class TestRelaxedMonotonicity:
     # exact 1e-5; round-off in the 1e-6-wide quotients puts the lattice at
     # 1.0000071e-5
     @example((build(PiecewiseDensity((0.0,), ([0.0], [1.0, -1e-5]))), 1.0))
+    # exact 2.225e-311; the 1e-6-wide quotients are a few subnormal units
+    # over 1e-12, so the lattice reads 2.470e-311
+    @example((build(PiecewiseDensity((0.0,), ([0.0],
+                                              [0.0, -2.225073858507e-311]))),
+              1.0))
     def test_at_least_lattice_estimate(self, case):
         sp, r = case
         exact = relaxed_monotonicity_constant(sp, r)
