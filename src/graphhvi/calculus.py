@@ -108,7 +108,7 @@ def embedding_diagnostics(g: WeightedGraph, center: str, r: float,
     ``tail_mass`` is ``(sum_{w outside ball} |phi(w)|^2 mu(w))^(1/2)``.
     """
     phi = _check_nodes(g, phi)
-    if r <= 0:
+    if not r > 0:   # also NaN
         raise ValueError("radius must be positive")
     inside = distances_from(g, center) < r
     mass = _weighted_lp(phi[~inside], g.mu[~inside], 2.0)

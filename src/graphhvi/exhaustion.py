@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import embedding_diagnostics, sobolev_norms
+from .calculus import _weighted_lp, sobolev_norms
+# unused here; stays importable as graphhvi.exhaustion.embedding_diagnostics
+from .calculus import embedding_diagnostics  # noqa: F401
 from .graphs import GraphFormatError, WeightedGraph, _finite
 from .solvers import EllipticProblem, SolveReport, SolverOptions, solve_elliptic
 from .superpotential import Superpotential
@@ -160,9 +162,9 @@ def _layout(kind: str, depth: int) -> tuple:
     return ids.tolist(), node_depth, np.nonzero(has)[0], b
 
 
-def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray]:
+def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray, np.ndarray]:
     """The truncations at the increasing ``radii``, sliced from one layout
-    of the largest, and the depth of each node of the largest."""
+    of the largest, and each node's depth and rho-distance in the largest."""
     # Every edge joins depth d to depth d + 1, so a depth-d node lies at
     # rho-distance rho(0) + ... + rho(d - 1): each ball is whole levels.
     depth, count, dist, cuts = 0, 1, gen.rho(0), []
@@ -179,12 +181,14 @@ def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray]:
     mu, kappa = (_depth_weights(gen, w, depth + 1)[node_depth]
                  for w in ("mu", "kappa"))
     edge_depth = node_depth[a]
-    rho, gamma = (_depth_weights(gen, w, depth)[edge_depth]
-                  for w in ("rho", "gamma"))
-    return [WeightedGraph.undirected(ids[:k], mu[:k], kappa[:k], a[:m], b[:m],
-                                     rho[:m], gamma[:m])
-            for k, m in zip(np.searchsorted(node_depth, cuts, side="right"),
-                            np.searchsorted(edge_depth, cuts))], node_depth
+    rho, gamma = (_depth_weights(gen, w, depth) for w in ("rho", "gamma"))
+    node_dist = np.concatenate(([0.0], np.cumsum(rho)))[node_depth]
+    rho, gamma = rho[edge_depth], gamma[edge_depth]
+    balls = [WeightedGraph.undirected(ids[:k], mu[:k], kappa[:k], a[:m],
+                                      b[:m], rho[:m], gamma[:m])
+             for k, m in zip(np.searchsorted(node_depth, cuts, side="right"),
+                             np.searchsorted(edge_depth, cuts))]
+    return balls, node_depth, node_dist
 
 
 def truncate(gen: GraphGenerator, r: float) -> WeightedGraph:
@@ -196,7 +200,7 @@ def truncate(gen: GraphGenerator, r: float) -> WeightedGraph:
     ball exceeds ``_MAX_NODES`` (possible for summable rho laws) or a
     weight in it is not finite and positive.
     """
-    if r <= 0:
+    if not r > 0:   # also NaN
         raise ValueError("radius must be positive")
     return _balls(gen, [r])[0][0]
 
@@ -228,7 +232,7 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
                          f"strictly increasing: {radii}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite: {eps}")
-    graphs, node_depth = _balls(gen, radii)
+    graphs, node_depth, dist = _balls(gen, radii)
     f_depth = [f_law(d) for d in range(node_depth[-1] + 1)]
     for d, x in enumerate(f_depth):
         if not math.isfinite(x):
@@ -248,9 +252,8 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
             diff = rep.phi[:m] - prev_phi
             increments.append(sobolev_norms(graphs[i - 1], diff).w_hilbert)
         reports.append(rep)
-        tail_r = radii[i - 1] if i > 0 else r / 2.0
-        tails.append(embedding_diagnostics(g, g.nodes[0], tail_r,
-                                           rep.phi).tail_mass)
+        out = dist[:g.num_nodes] >= (radii[i - 1] if i else r / 2.0)
+        tails.append(_weighted_lp(rep.phi[out], g.mu[out], 2.0))
         if not rep.converged:
             return ExhaustionReport(radii[:i + 1], reports, graphs[:i + 1],
                                     increments, tails, converged=False)

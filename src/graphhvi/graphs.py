@@ -20,7 +20,6 @@ from operator import eq, itemgetter
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 
 class GraphFormatError(ValueError):
@@ -265,12 +264,13 @@ def _rho_matrix(g: WeightedGraph):
 
 def distances_from(g: WeightedGraph, center: str) -> np.ndarray:
     """Shortest-path rho-distance from ``center`` to every node (inf if none)."""
+    from scipy.sparse.csgraph import dijkstra   # lazy: no command needs it
     return dijkstra(_rho_matrix(g), indices=g.node_index(center))
 
 
 def ball(g: WeightedGraph, center: str, r: float) -> set[str]:
     """Open ball ``{w : dist_rho(center, w) < r}`` (strict inequality)."""
-    if r <= 0:
+    if not r > 0:   # also NaN
         raise ValueError("ball radius must be positive")
     d = distances_from(g, center)
     return {g.nodes[i] for i in np.flatnonzero(d < r)}

@@ -48,9 +48,11 @@ class OperatorConstants:
 def assemble(g: WeightedGraph) -> AssembledOperator:
     """Sparse K, C, M in canonical node order."""
     n = g.num_nodes
-    rows = np.concatenate([g.edge_src, g.edge_src])
-    cols = np.concatenate([g.edge_src, g.edge_dst])
-    vals = np.concatenate([g.gamma, -g.gamma])
+    diag = np.bincount(g.edge_src, g.gamma, n)   # added up in edge order
+    v = np.flatnonzero(diag)    # one entry per node that has an edge
+    rows = np.concatenate([v, g.edge_src])
+    cols = np.concatenate([v, g.edge_dst])
+    vals = np.concatenate([diag[v], -g.gamma])
     K = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return AssembledOperator(graph=g, stiffness=K)
 

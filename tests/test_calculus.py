@@ -140,3 +140,8 @@ class TestEmbeddingDiagnostics:
         g = gh.from_data([("a", 1, 1)], [])
         with pytest.raises(ValueError):
             gh.embedding_diagnostics(g, "a", 0.0, np.zeros(1))
+
+    def test_nan_radius_rejected(self):
+        g = gh.from_data([("a", 1, 1)], [])
+        with pytest.raises(ValueError, match="positive"):
+            gh.embedding_diagnostics(g, "a", math.nan, np.ones(1))

@@ -46,13 +46,35 @@ def run(args, capsys):
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(graphhvi.cli.__file__)))
 
 
-def run_module(*args):
-    """``python -m graphhvi.cli`` in a fresh interpreter that imports the
-    same ``graphhvi`` as these tests."""
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports the same
+    ``graphhvi`` as these tests."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "graphhvi.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
+
+
+def run_module(*args):
+    """``python -m graphhvi.cli`` in a fresh interpreter."""
+    return run_python("-m", "graphhvi.cli", *args)
+
+
+# Exits 3 when importing scipy.sparse alone loads csgraph (as some scipy
+# versions may); otherwise runs the argv list of argv[1] through cli.main
+# and prints the exit codes, whether csgraph got loaded, and a ball.
+CSGRAPH_PROBE = """
+import json, sys
+import scipy.sparse
+if "scipy.sparse.csgraph" in sys.modules:
+    sys.exit(3)
+from graphhvi import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = "scipy.sparse.csgraph" in sys.modules
+import graphhvi as gh
+g = gh.from_data([("a", 1, 1), ("b", 1, 1)], [("a", "b", 1.0, 1.0)])
+print(json.dumps([codes, loaded, sorted(gh.ball(g, "a", 1.5))]))
+"""
 
 
 class TestValidate:
@@ -638,6 +660,22 @@ class TestEntryPoint:
                              capsys)
         assert (code, err) == (0, "")
         assert out.startswith('{\n  "schema_version": 1,\n')
+
+    def test_no_command_imports_csgraph(self, workspace):
+        # scipy's graph module is slow to import; only
+        # graphs.distances_from loads it, and no command calls that
+        argvs = [[command, *self.argv(workspace, command),
+                  "--out", str(workspace / f"{command}.json")]
+                 for command in graphhvi.cli.COMMANDS]
+        proc = run_python("-c", CSGRAPH_PROBE, json.dumps(argvs))
+        if proc.returncode == 3:
+            pytest.skip("a bare import of scipy.sparse loads csgraph "
+                        "with this scipy")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        codes, loaded, ball = json.loads(proc.stdout)
+        assert codes == [0] * len(argvs)
+        assert loaded is False
+        assert ball == ["a", "b"]
 
     def test_parser_built_once_per_process(self, workspace, capsys,
                                            monkeypatch):

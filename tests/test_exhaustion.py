@@ -176,6 +176,10 @@ class TestTruncate:
         with pytest.raises(ValueError, match="positive"):
             truncate(path_generator(), 0.0)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            truncate(path_generator(), math.nan)
+
 
 KINDS = ("path", "binary-tree", "lattice-2d")
 RHO_LAWS = {
@@ -455,6 +459,28 @@ class TestExhaust:
         # unit rho: the largest ball (radius 5.5) holds depths 0 to 5, laid
         # out once and sliced for the smaller radii
         assert calls == [("lattice-2d", 5)]
+
+    @pytest.mark.parametrize("law", sorted(RHO_LAWS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tails_match_dijkstra(self, kind, law):
+        # tails taken from the layout's depth distances equal those that a
+        # shortest-path search measures on each level's graph, bit for bit
+        rho = RHO_LAWS[law]
+        level = [0.0]      # the rho-distance of each depth, summed in order
+        for d in range(8):
+            level.append(level[-1] + rho(d))
+        # radii between two depths' distances, and on them, so that a tail
+        # holds a depth at exactly its inner radius
+        radii = [(level[1] + level[2]) / 2, level[3],
+                 (level[4] + level[5]) / 2, level[6],
+                 (level[7] + level[8]) / 2]
+        gen = depth_generator(kind, rho)
+        rep = exhaust(gen, quad_density(0.5), constant(1.0), radii, 1e-6)
+        assert len(rep.tail_masses) == len(radii)
+        for i, (g, sol) in enumerate(zip(rep.graphs, rep.solutions)):
+            r = radii[i - 1] if i else radii[0] / 2.0
+            diag = gh.embedding_diagnostics(g, g.nodes[0], r, sol.phi)
+            assert rep.tail_masses[i] == diag.tail_mass > 0
 
     def test_increments_align_by_node_id(self):
         # each increment compares consecutive solutions node by node

@@ -208,6 +208,10 @@ class TestMetricStructure:
         with pytest.raises(ValueError):
             gh.ball(g, "a", 0.0)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            gh.ball(self.path3(), "a", math.nan)
+
     def test_unhashable_center_is_unknown(self):
         with pytest.raises(GraphFormatError,
                            match=r"unknown node id: \['a'\]"):

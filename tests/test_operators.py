@@ -26,7 +26,39 @@ def dense_system(g):
     return A
 
 
+def duplicate_coo_stiffness(g):
+    """K as one diagonal COO entry per directed edge, summed by scipy."""
+    n = g.num_nodes
+    rows = np.concatenate([g.edge_src, g.edge_src])
+    cols = np.concatenate([g.edge_src, g.edge_dst])
+    vals = np.concatenate([g.gamma, -g.gamma])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 class TestAssembly:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_duplicate_coo(self, seed):
+        g = make_random_graph(np.random.default_rng(seed), weight_lo=1e-3,
+                              weight_hi=1e3)
+        K, ref = assemble(g).stiffness, duplicate_coo_stiffness(g)
+        assert K.has_canonical_format
+        for name in ("indptr", "indices"):
+            np.testing.assert_array_equal(getattr(K, name), getattr(ref, name))
+        assert K.indptr.dtype == ref.indptr.dtype
+        # the diagonal adds up each node's edges in edge order
+        diag = np.zeros(g.num_nodes)
+        for s, c in zip(g.edge_src, g.gamma):
+            diag[s] += c
+        assert K.diagonal().tobytes() == diag.tobytes()
+        # scipy's duplicate sum keeps that order only in a row of at most
+        # 16 entries (8 edges): its sort may reorder a longer row
+        deg = np.bincount(g.edge_src, minlength=g.num_nodes)
+        row = np.repeat(np.arange(g.num_nodes), np.diff(K.indptr))
+        same = (deg[row] <= 8) | (K.indices != row)
+        assert K.data[same].tobytes() == ref.data[same].tobytes()
+        np.testing.assert_allclose(K.data, ref.data, rtol=1e-14)
+
     def test_stiffness_row_sums_zero(self):
         g = make_random_graph(np.random.default_rng(5), max_nodes=50)
         K = assemble(g).stiffness.toarray()
