@@ -28,7 +28,7 @@ class InputError(ValueError):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror})") from exc

@@ -84,6 +84,7 @@ class WeightLaw:
 
 
 _KINDS = ("path", "binary-tree", "lattice-2d")
+_WEIGHTS = ("mu", "rho", "gamma", "kappa")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class GraphGenerator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
-        for name in ("mu", "rho", "gamma", "kappa"):
+        for name in _WEIGHTS:
             law = getattr(self, name)
             for d in range(4):
                 if law(d) <= 0:
@@ -273,16 +274,10 @@ def generator_from_document(doc: dict) -> tuple[GraphGenerator, WeightLaw]:
     if extra:
         raise ValueError(f"unknown keys in generator document: {sorted(extra)}")
     weights = doc.get("weights")
-    if not isinstance(weights, dict) or set(weights) != {"mu", "rho",
-                                                         "gamma", "kappa"}:
+    if not isinstance(weights, dict) or set(weights) != set(_WEIGHTS):
         raise ValueError("generator 'weights' must define mu, rho, gamma, kappa")
-    gen = GraphGenerator(
-        kind=doc.get("kind", ""),
-        mu=WeightLaw.from_document(weights["mu"]),
-        rho=WeightLaw.from_document(weights["rho"]),
-        gamma=WeightLaw.from_document(weights["gamma"]),
-        kappa=WeightLaw.from_document(weights["kappa"]),
-    )
+    gen = GraphGenerator(kind=doc.get("kind", ""), **{
+        w: WeightLaw.from_document(weights[w]) for w in _WEIGHTS})
     if "f" not in doc:
         raise ValueError("generator document missing 'f' law")
     return gen, WeightLaw.from_document(doc["f"])

@@ -13,10 +13,10 @@ import json
 import numbers
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -52,6 +52,8 @@ class WeightedGraph:
     edge_dst: np.ndarray
     rho: np.ndarray
     gamma: np.ndarray
+    _templates: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)   # reports' node-table templates
 
     def __post_init__(self):
         for arr in (self.mu, self.kappa, self.edge_src, self.edge_dst,
@@ -85,11 +87,6 @@ class WeightedGraph:
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.nodes)}
 
-    @cached_property
-    def json_ids(self) -> tuple[str, ...]:
-        """Node ids as JSON string literals (``json.dumps``), escaped once."""
-        return tuple(map(json.encoder.encode_basestring_ascii, self.nodes))
-
     @property
     def mu_total(self) -> float:
         return float(self.mu.sum())
@@ -112,19 +109,20 @@ def _weight(name: str, x: np.ndarray) -> tuple:
     return f"non-positive or non-finite {name}", ~(np.isfinite(x) & (x > 0))
 
 
-def _columns(recs: list, k: int) -> list:
+def _columns(recs, k: int) -> tuple:
+    recs = list(recs)
     if set(map(len, recs)) - {k}:
         raise GraphFormatError(f"every record must have {k} fields")
-    return list(zip(*recs)) or [()] * k
+    return list(zip(*recs)) or [()] * k, recs.__getitem__
 
 
-def _raise_first(recs: list, checks: list) -> None:
+def _raise_first(record, checks: list) -> None:
     """Raise for the first record failing a ``(fault, mask)`` check."""
     bad = np.array([mask for _, mask in checks], dtype=bool)
     if bad.any():
         i = np.flatnonzero(bad.any(axis=0))[0]
         fault = checks[np.flatnonzero(bad[:, i])[0]][0]   # in check order
-        raise GraphFormatError(f"{fault} in record {recs[i]!r}")
+        raise GraphFormatError(f"{fault} in record {record(i)!r}")
 
 
 def from_data(nodes, adjacencies) -> WeightedGraph:
@@ -135,53 +133,67 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
     list, duplicate ids, self-loops, non-positive or non-finite weights or
     unknown node references, naming the first offending record.
     """
-    nodes, adjacencies = list(nodes), list(adjacencies)
-    ids, mu, kappa = _columns(nodes, 3)
+    return _from_columns(_columns(nodes, 3), lambda: _columns(adjacencies, 4))
+
+
+def _from_columns(nodes: tuple, adjacencies) -> WeightedGraph:
+    """:func:`from_data` on ``(columns, record)`` pairs (``record(i)``: record
+    ``i`` for an error), ``adjacencies()`` called once the nodes pass."""
+    (ids, mu, kappa), node_rec = nodes
     ids, mu, kappa = list(map(str, ids)), _floats(mu), _floats(kappa)
     n = len(ids)
-    index = dict(zip(ids[::-1], range(n - 1, -1, -1)))   # first occurrence
-    dup = np.fromiter(map(index.get, ids), np.intp, n) != np.arange(n)
-    _raise_first(nodes, [("duplicate node id", dup), _weight("measure", mu),
-                         _weight("kappa", kappa)])
+    index = dict(zip(ids, range(n)))
+    dup = np.zeros(n, dtype=bool)
+    if len(index) < n:   # flag each record after an id's first
+        first = dict(zip(ids[::-1], range(n - 1, -1, -1)))
+        dup = np.fromiter(map(first.get, ids), np.intp, n) != np.arange(n)
+    _raise_first(node_rec, [("duplicate node id", dup),
+                            _weight("measure", mu), _weight("kappa", kappa)])
     if not n:
         raise GraphFormatError("graph has no nodes")
 
-    a, b, rho, gamma = _columns(adjacencies, 4)
+    (a, b, rho, gamma), adj_rec = adjacencies()
     m = len(a)
     ia, ib = (np.fromiter(map(index.get, c, repeat(-1)), np.intp, m)
               for c in (a, b))
+    unknown = (ia < 0) | (ib < 0)
+    loop = ia == ib   # where an end is unknown (-1), compare the ids instead
+    loop[unknown] = [a[i] == b[i] for i in np.flatnonzero(unknown).tolist()]
     # one key per unordered index pair; an unknown node (-1) makes it negative
     key = np.minimum(ia, ib) * n + np.maximum(ia, ib)
     dup = np.ones(m, dtype=bool)
     dup[np.unique(key, return_index=True)[1]] = False
     rho, gamma = _floats(rho), _floats(gamma)
-    _raise_first(adjacencies, [
-        ("self-loop", np.fromiter(map(eq, a, b), bool, m)),
-        ("reference to unknown node", (ia < 0) | (ib < 0)),
+    _raise_first(adj_rec, [
+        ("self-loop", loop), ("reference to unknown node", unknown),
         ("duplicate adjacency", dup), _weight("rho", rho),
         _weight("gamma", gamma)])
     return WeightedGraph.undirected(ids, mu, kappa, ia, ib, rho, gamma)
 
 
-def _records(recs: list, keys: tuple, kind: str) -> list:
-    """Record objects as tuples in ``keys`` order.  Each must have exactly
+def _record_columns(recs: list, keys: tuple, kind: str) -> tuple:
+    """The columns of record objects, one per key, and ``record(i)``: record
+    ``i`` as a tuple in ``keys`` order.  Each record must have exactly
     ``keys``, and its ids (all keys but the two weights) must be strings."""
-    want, ids = set(keys), keys[:-2]
-    if not (all(map(isinstance, recs, repeat(dict)))
-            and all(map(eq, map(dict.keys, recs), repeat(want)))
-            and all(all(map(isinstance, map(itemgetter(k), recs),
-                            repeat(str))) for k in ids)):
+    try:   # a record with every key and no other has exactly ``keys``
+        cols = (all(map(isinstance, recs, repeat(dict)))
+                and [list(map(itemgetter(k), recs)) for k in keys])
+    except KeyError:
+        cols = None
+    if (not cols or set(map(len, recs)) - {len(keys)}
+            or not all(all(map(isinstance, c, repeat(str)))
+                       for c in cols[:-2])):
         for rec in recs:
-            if (not isinstance(rec, dict) or set(rec) != want
-                    or not all(isinstance(rec[k], str) for k in ids)):
+            if (not isinstance(rec, dict) or set(rec) != set(keys)
+                    or not all(isinstance(rec[k], str) for k in keys[:-2])):
                 raise GraphFormatError(f"malformed {kind} record {rec!r}")
-    return list(map(itemgetter(*keys), recs))
+    return cols, lambda i: tuple(c[i] for c in cols)
 
 
 def load_graph(document) -> WeightedGraph:
-    """Parse a graph from a JSON document (a dict, or a file path)."""
+    """Parse a graph from a JSON document (a dict, or a UTF-8 file path)."""
     if isinstance(document, str):
-        with open(document) as fh:
+        with open(document, encoding="utf-8") as fh:
             document = json.load(fh)
     if not isinstance(document, dict):
         raise GraphFormatError("graph document must be a JSON object")
@@ -192,10 +204,10 @@ def load_graph(document) -> WeightedGraph:
         raise GraphFormatError("graph document missing 'nodes'")
     if not all(isinstance(document.get(k, []), list) for k in _TOP_KEYS):
         raise GraphFormatError("graph 'nodes' and 'adjacencies' must be lists")
-    return from_data(
-        _records(document["nodes"], ("id", "mu", "kappa"), "node"),
-        _records(document.get("adjacencies", []), ("a", "b", "rho", "gamma"),
-                 "adjacency"))
+    nodes = _record_columns(document["nodes"], ("id", "mu", "kappa"), "node")
+    adjacencies = _record_columns(document.get("adjacencies", []),
+                                  ("a", "b", "rho", "gamma"), "adjacency")
+    return _from_columns(nodes, lambda: adjacencies)
 
 
 def node_function(g: WeightedGraph, values) -> np.ndarray:
@@ -205,13 +217,17 @@ def node_function(g: WeightedGraph, values) -> np.ndarray:
     value of a mapping or list must be a finite number.
     """
     if isinstance(values, Mapping):
-        missing = set(g.nodes) - set(values)
-        extra = set(values) - set(g.nodes)
-        if missing or extra:
+        table = values
+        try:   # every node found among as many keys: the support is exact
+            values = list(map(table.__getitem__, g.nodes))
+        except KeyError:
+            pass
+        if values is table or len(table) != g.num_nodes:
+            missing = set(g.nodes) - set(table)
+            extra = set(table) - set(g.nodes)
             raise GraphFormatError(
                 f"node function support mismatch: missing={sorted(missing)}, "
                 f"extra={sorted(extra)}")
-        values = list(map(values.__getitem__, g.nodes))
     if isinstance(values, (list, tuple)):
         values = _floats(values)
     arr = np.asarray(values, dtype=float)
@@ -249,23 +265,18 @@ class DegreeRecord:
 
 def degrees(g: WeightedGraph) -> dict[str, DegreeRecord]:
     """Rho-weighted out/in/total degree of every node."""
-    out = np.zeros(g.num_nodes)
-    inn = np.zeros(g.num_nodes)
-    np.add.at(out, g.edge_src, g.rho)
-    np.add.at(inn, g.edge_dst, g.rho)
+    out = np.bincount(g.edge_src, g.rho, g.num_nodes)   # in edge order
+    inn = np.bincount(g.edge_dst, g.rho, g.num_nodes)
     return {v: DegreeRecord(float(out[i]), float(inn[i]), float(out[i] + inn[i]))
             for i, v in enumerate(g.nodes)}
-
-
-def _rho_matrix(g: WeightedGraph):
-    return coo_matrix((g.rho, (g.edge_src, g.edge_dst)),
-                      shape=(g.num_nodes, g.num_nodes)).tocsr()
 
 
 def distances_from(g: WeightedGraph, center: str) -> np.ndarray:
     """Shortest-path rho-distance from ``center`` to every node (inf if none)."""
     from scipy.sparse.csgraph import dijkstra   # lazy: no command needs it
-    return dijkstra(_rho_matrix(g), indices=g.node_index(center))
+    rho = coo_matrix((g.rho, (g.edge_src, g.edge_dst)),
+                     shape=(g.num_nodes, g.num_nodes))
+    return dijkstra(rho.tocsr(), indices=g.node_index(center))
 
 
 def ball(g: WeightedGraph, center: str, r: float) -> set[str]:

@@ -13,7 +13,6 @@ import math
 import tempfile
 from collections.abc import Mapping
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -32,18 +31,23 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _table_template(g: WeightedGraph, indent: int) -> str:
+    """``template % values`` renders a node table of ``g`` at ``indent``: its
+    ids escaped as ``json.dumps`` does, ``%`` doubled; kept on ``g``."""
+    if indent not in g._templates:
+        pad, escape = "  " * indent, json.encoder.encode_basestring_ascii
+        ids = "\0".join(map(escape, g.nodes))   # no escaped id holds a NUL
+        body = ids.replace("%", "%%").replace("\0", f": %.17g,\n{pad}  ")
+        g._templates[indent] = f"{{\n{pad}  {body}: %.17g\n{pad}}}"
+    return g._templates[indent]
+
+
 def render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(obj, NodeTable) and obj:
-        # the whole table in one format call: ids escaped once per graph,
-        # floats formatted in bulk unless one is not finite
-        x, fmt = obj.values.tolist(), "%s: %.17g"
-        if not np.isfinite(obj.values).all():
-            x, fmt = list(map(_fmt_float, x)), "%s: %s"
-        sep = f",\n{pad}  "
-        return (f"{{{sep[1:]}" + sep.join([fmt] * len(x))
-                % tuple(chain.from_iterable(zip(obj.graph.json_ids, x)))
-                + f"\n{pad}}}")
+    if isinstance(obj, NodeTable) and obj and np.isfinite(obj.values).all():
+        # the whole table in one format call; a table with a non-finite
+        # value goes entry by entry, as a Mapping
+        return _table_template(obj.graph, indent) % tuple(obj.values.tolist())
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
@@ -105,32 +109,25 @@ def validate_report_dict(g: WeightedGraph) -> dict:
 def render_human(doc: dict, title: str) -> str:
     lines = [title, "=" * len(title)]
 
-    def walk(obj, prefix=""):
-        if isinstance(obj, Mapping):
-            for k, v in obj.items():
-                if isinstance(v, (Mapping, list, tuple)):
-                    lines.append(f"{prefix}{k}:")
-                    walk(v, prefix + "  ")
-                else:
-                    lines.append(f"{prefix}{k}: {v}")
-        elif isinstance(obj, (list, tuple)):
-            for i, v in enumerate(obj):
-                if isinstance(v, (Mapping, list, tuple)):
-                    lines.append(f"{prefix}[{i}]")
-                    walk(v, prefix + "  ")
-                else:
-                    lines.append(f"{prefix}- {v}")
+    def walk(obj, prefix=""):   # a Mapping, list or tuple
+        named = isinstance(obj, Mapping)
+        for k, v in obj.items() if named else enumerate(obj):
+            if isinstance(v, (Mapping, list, tuple)):
+                lines.append(f"{prefix}{k}:" if named else f"{prefix}[{k}]")
+                walk(v, prefix + "  ")
+            else:
+                lines.append(f"{prefix}{k}: {v}" if named else f"{prefix}- {v}")
 
     walk(doc)
     return "\n".join(lines) + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory and rename."""
+    """Write ``text`` as UTF-8: a temp file in the same directory, renamed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphhvi-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -362,9 +362,7 @@ def solve_parabolic(problem: ParabolicProblem,
                      states[k - 1].copy(), opts, c)
         reports.append(rep)
         states[k] = rep.phi
-        if not rep.converged:
-            return ParabolicResult(times=times[:k + 1],
-                                   states=states[:k + 1],
-                                   reports=reports, converged=False)
-    return ParabolicResult(times=times, states=states, reports=reports,
-                           converged=True)
+        if not rep.converged:   # the partial trajectory, up to this step
+            break
+    return ParabolicResult(times=times[:k + 1], states=states[:k + 1],
+                           reports=reports, converged=rep.converged)

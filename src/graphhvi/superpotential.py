@@ -142,9 +142,8 @@ class Superpotential:
 
     def value(self, x) -> np.ndarray:
         """j(x); continuous with j(0) = 0."""
-        x = np.asarray(x, dtype=float)
-        return _horner(self._j, np.searchsorted(self.density.breakpoints, x,
-                                                side="right"), x)
+        x, piece = self.density._piece(x, None)
+        return _horner(self._j, piece, x)
 
     def interval(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Filled-in subdifferential as (lo, hi) arrays."""

@@ -46,18 +46,22 @@ def run(args, capsys):
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(graphhvi.cli.__file__)))
 
 
-def run_python(*args):
+def run_python(*args, env=()):
     """``python *args`` in a fresh interpreter that imports the same
-    ``graphhvi`` as these tests."""
+    ``graphhvi`` as these tests, with ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=dict(os.environ, PYTHONPATH=path, **dict(env)),
                           capture_output=True, text=True, timeout=120)
 
 
-def run_module(*args):
+def run_module(*args, env=()):
     """``python -m graphhvi.cli`` in a fresh interpreter."""
-    return run_python("-m", "graphhvi.cli", *args)
+    return run_python("-m", "graphhvi.cli", *args, env=env)
+
+
+# the C locale's encoding is ASCII; no UTF-8 mode and no locale coercion
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
 
 
 # Exits 3 when importing scipy.sparse alone loads csgraph (as some scipy
@@ -692,6 +696,27 @@ class TestEntryPoint:
                              capsys)
             assert code == 0
         assert built == []
+
+    def test_utf8_files_under_an_ascii_locale(self, tmp_path):
+        # JSON files are UTF-8 (RFC 8259), and so is a report written with
+        # --out, whatever the locale's encoding
+        doc = dict(GRAPH, nodes=[{"id": "\u00e9", "mu": 1.0, "kappa": 1.0}])
+        (tmp_path / "graph.json").write_bytes(
+            json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        (tmp_path / "problem.json").write_bytes(json.dumps(
+            {"graph": "graph.json", "superpotential": ABS_SP,
+             "f": {"\u00e9": 2.0}}, ensure_ascii=False).encode("utf-8"))
+        proc = run_module("validate", "--graph", str(tmp_path / "graph.json"),
+                          env=ASCII_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["degrees"] == {
+            "\u00e9": {"deg_out": 0.0, "deg_in": 0.0, "deg": 0.0}}
+        out = tmp_path / "report.txt"
+        proc = run_module("solve-elliptic", "--problem",
+                          str(tmp_path / "problem.json"), "--format", "human",
+                          "--out", str(out), env=ASCII_LOCALE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert "  \u00e9: 1.0\n".encode("utf-8") in out.read_bytes()
 
     def test_python_m_entry_point(self, workspace, capsys):
         argv = ["validate", *self.argv(workspace, "validate")]

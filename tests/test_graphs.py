@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphhvi as gh
+from graphhvi import reports
 from graphhvi.graphs import GraphFormatError, distances_from
 
 from conftest import make_random_graph
@@ -166,12 +167,18 @@ class TestNodeFunctions:
 
 class TestJsonIds:
     IDS = ["plain", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
-           "caf\u00e9", "\u65e5\u672c", "\U0001d11e", "\ud800", "", " "]
+           "caf\u00e9", "\u65e5\u672c", "\U0001d11e", "\ud800", "", " ",
+           "%s", "%.17g", "%%", "%(x)s", "%d"]
 
     def test_equal_json_dumps(self):
         g = gh.from_data([(v, 1.0, 1.0) for v in self.IDS], [])
-        assert g.json_ids == tuple(map(json.dumps, self.IDS))
-        assert [json.loads(s) for s in g.json_ids] == self.IDS
+        x = [0.1 * k - 0.5 for k in range(len(self.IDS))]
+        text = reports._table_template(g, 1) % tuple(x)
+        assert text == ("{\n" + ",\n".join(f"    {json.dumps(v)}: {t:.17g}"
+                                           for v, t in zip(self.IDS, x))
+                        + "\n  }")
+        assert list(json.loads(text).items()) == list(zip(self.IDS, x))
+        assert reports._table_template(g, 1) is g._templates[1]
 
 
 class TestMetricStructure:
@@ -391,6 +398,52 @@ class TestLoaderOracle:
                 [tuple(r.values()) for r in doc["adjacencies"]])
         for a, b in zip(_arrays(gh.from_data(*recs)), old_from_data(*recs)):
             assert a == b if isinstance(a, tuple) else a.tobytes() == b.tobytes()
+
+    DOC = {"nodes": [{"id": v, "mu": 1.0, "kappa": 2.0} for v in "abc"],
+           "adjacencies": [{"a": "a", "b": "b", "rho": 1.0, "gamma": 1.0},
+                           {"a": "c", "b": "b", "rho": 2.0, "gamma": 1.0}]}
+
+    class Id(str):
+        pass
+
+    @pytest.mark.parametrize("section, at, change, outcome", [
+        # the right number of keys, one of them misspelled
+        ("nodes", 1, {"id": "b", "mu": 1.0, "kapa": 2.0},
+         "malformed node record"),
+        ("adjacencies", 0, {"a": "a", "b": "b", "rho": 1.0, "gama": 1.0},
+         "malformed adjacency record"),
+        # a str subclass is a string id, in nodes and in adjacencies
+        ("nodes", 0, {"id": Id("a"), "mu": 1.0, "kappa": 2.0}, None),
+        ("adjacencies", 1, {"a": Id("c"), "b": "b", "rho": 2.0,
+                            "gamma": 1.0}, None),
+        # unknown ends: one id at both ends is first of all a self-loop
+        ("adjacencies", 1, {"a": "x", "b": "x", "rho": 2.0, "gamma": 1.0},
+         "self-loop in record ('x', 'x', 2.0, 1.0)"),
+        ("adjacencies", 1, {"a": "x", "b": "y", "rho": 2.0, "gamma": 1.0},
+         "reference to unknown node in record ('x', 'y', 2.0, 1.0)"),
+        ("adjacencies", 1, {"a": "x", "b": "b", "rho": 2.0, "gamma": 1.0},
+         "reference to unknown node in record ('x', 'b', 2.0, 1.0)"),
+    ])
+    def test_fast_path_cases(self, section, at, change, outcome):
+        doc = json.loads(json.dumps(self.DOC))
+        doc[section][at] = change
+        old = _outcome(old_load_graph, doc)
+        new = _outcome(gh.load_graph, doc)
+        if outcome is None:
+            assert not isinstance(new, str), new
+            assert [type(v) for v in new.nodes] == [str] * 3
+            for a, b in zip(_arrays(new), old):
+                assert a == b if isinstance(a, tuple) else a.tobytes() == b.tobytes()
+        else:
+            assert new == old and new.startswith(outcome)
+
+    def test_mapping_load_of_the_same_length(self):
+        # as many keys as nodes, but one node missing and one key extra
+        g = gh.load_graph(self.DOC)
+        with pytest.raises(GraphFormatError) as exc:
+            gh.node_function(g, {"a": 1.0, "c": 2.0, "d": 3.0})
+        assert str(exc.value) == ("node function support mismatch: "
+                                  "missing=['b'], extra=['d']")
 
     def test_record_arity(self):
         with pytest.raises(GraphFormatError, match="3 fields"):

@@ -80,8 +80,12 @@ def as_dicts(obj):
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308,
            1.7976931348623157e308, 0.1, 1e16, 123456789.0]
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
-# ids that JSON must escape, non-ASCII ids and ids with format characters
-ids = st.text(st.sampled_from('ab"\\\x00\x1f\n\té%{} ,:'), max_size=4)
+# ids that JSON must escape, non-ASCII ids and ids with format characters,
+# up to format directives such as "%.17g" and "%(a)s"
+ids = st.text(st.sampled_from('ab"\\\x00\x1f\n\té%{} ,:s.17g()'),
+              max_size=5)
+# ids that are themselves format directives
+DIRECTIVES = ["%s", "%.17g", "%%", "%(x)s", "%d"]
 
 
 def graph_of(nodes) -> WeightedGraph:
@@ -149,6 +153,21 @@ class TestNodeTableRendering:
         assert reports.render_json(doc) == old_render_json(old)
         assert reports.render_human(doc, "title") == old_render_human(old,
                                                                       "title")
+
+    @pytest.mark.parametrize("values", [
+        [0.1, -2.0, 1e300, 5e-324, -0.0, 3.0],
+        [math.nan, 1.0, math.inf, -math.inf, 0.5, math.nan]])
+    def test_directive_ids(self, values):
+        g = graph_of([*DIRECTIVES, "%"])
+        table = NodeTable(g, np.array(values))
+        for indent in range(4):
+            assert (reports.render_json(table, indent)
+                    == old_render_json(as_dicts(table), indent))
+        # the graph's templates are reused by the next document
+        docs = [{"a": table, "b": [table, {"c": table}]},
+                {"d": [{"e": table}], "f": table}]
+        for doc in docs + docs:
+            assert reports.render_json(doc) == old_render_json(as_dicts(doc))
 
     def test_mapping_view(self):
         g = graph_of(["a", "b"])
