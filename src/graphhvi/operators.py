@@ -92,28 +92,40 @@ def constants(g: WeightedGraph) -> OperatorConstants:
 
 
 def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
-         max_iter: int, x0: np.ndarray | None = None
-         ) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradients on ``A + diag(d)`` from ``x0`` (zero when None;
-    not modified), preconditioned by its diagonal; deterministic.  Stops at
+         max_iter: int, more=None) -> tuple[np.ndarray, float, int]:
+    """Conjugate gradients on ``A + diag(d)`` from zero, preconditioned by
+    its diagonal; deterministic.  Stops at
     ``||(A + diag(d)) x - rhs|| <= tol * ||rhs||``, run on ``rhs`` divided
     by a power of two (exact) so that no dot product overflows or underflows.
+
+    ``more = (tol2, accept)`` asks once, on meeting ``tol``, whether to go
+    on: if ``accept(x)`` holds, the same run continues to ``tol2``, with the
+    same float operations (and so the same bytes) as one run to ``tol2``.
+    ``max_iter`` caps the iterations of the whole run.
     """
     s = math.ldexp(1.0, math.frexp(np.abs(rhs).max(initial=0.0))[1] - 1)
-    rhs = rhs / s
-    nb = math.sqrt(rhs @ rhs)  # what np.linalg.norm computes for 1-d input
+    r = rhs / s   # our own copy, updated in place
+    nb = nr = math.sqrt(r @ r)  # what np.linalg.norm computes for 1-d input
     if nb == 0.0:
-        return np.zeros_like(rhs), 0.0, 0
-    x = np.zeros_like(rhs) if x0 is None else x0 / s
-    r = rhs if x0 is None else rhs - (A @ x + d * x)  # rhs: our own copy
+        return np.zeros_like(r), 0.0, 0
+    x = np.zeros_like(r)
     inv_d = 1.0 / (A.diagonal() + d)
-    z = inv_d * r
-    p = z.copy()
+    p = z = inv_d * r
     rz = float(r @ z)
-    nr = math.sqrt(r @ r)
     stop = tol * nb
     it = 0
-    while nr > stop and it < max_iter:
+    while it < max_iter:
+        if not nr > stop:
+            if more is None or not more[1](x * s):
+                break
+            stop, more = more[0] * nb, None
+            if not nr > stop:
+                break
+        if it:  # the next direction
+            z = inv_d * r
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
         Ap = A @ p + d * p
         pAp = float(p @ Ap)
         if not pAp > 0.0:  # breakdown: p @ Ap underflows or A is not SPD
@@ -123,11 +135,6 @@ def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
         r -= alpha * Ap
         nr = math.sqrt(r @ r)
         it += 1
-        if nr > stop:
-            z = inv_d * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
     return x * s, nr / nb, it
 
 

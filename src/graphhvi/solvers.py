@@ -26,7 +26,8 @@ from .graphs import WeightedGraph
 from .operators import (AssembledOperator, OperatorConstants, _pcg, apply,
                         assemble, bilinear_form, constants)
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify
-from .superpotential import (Superpotential, SuperpotentialSchedule,  # noqa
+from .superpotential import (PiecewiseDensity, Superpotential,  # noqa
+                             SuperpotentialSchedule, _horner,
                              growth_certificate, mollify,
                              relaxed_monotonicity_constant)
 
@@ -144,8 +145,10 @@ def sum_directional_bound(g: WeightedGraph, sp: Superpotential,
 def verify_inclusion(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
                      f: np.ndarray) -> np.ndarray:
     """Pointwise inclusion residual; zero everywhere certifies a weak solution."""
-    return _measure(assemble(g), sp, _check_nodes(g, phi),
-                    _check_nodes(g, f))[-1]
+    phi = _check_nodes(g, phi)
+    density = sp.density
+    return _measure(assemble(g), _limits(density), phi,
+                    _state(density.breakpoints, phi), _check_nodes(g, f))[-1]
 
 
 def hvi_residual(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
@@ -216,13 +219,42 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
 # active-set semismooth Newton
 
 
-def _measure(opr: AssembledOperator, sp: Superpotential, phi: np.ndarray,
+def _state(bp: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Node states (see ``_solve``): ``2p`` inside piece p, ``2k + 1`` at
+    breakpoint k."""
+    return (np.searchsorted(bp, phi, side="left")
+            + np.searchsorted(bp, phi, side="right"))
+
+
+def _limits(density: PiecewiseDensity):
+    """The density's value table, and the interval ``(lo, hi)`` of a node in
+    state ``2k + 1`` at row ``k + 1``: at each breakpoint, and at -inf and
+    +inf (rows 0 and last, the states a step overflowing on an unbounded
+    piece leaves)."""
+    bp, beta = density.breakpoints, density._beta
+    k = len(bp)
+    idx = np.array([[0, *range(k + 1)], [*range(k + 1), k]])  # left, right
+    with np.errstate(invalid="ignore"):   # inf * 0 at the infinite ends
+        left, right = _horner(beta, idx,
+                              np.concatenate(([-np.inf], bp, [np.inf])))
+    return beta, np.minimum(left, right), np.maximum(left, right)
+
+
+def _measure(opr: AssembledOperator, limits, phi: np.ndarray, s: np.ndarray,
              f: np.ndarray):
     """Residual norm, required subgradient ``f - L phi``, its interval and
     the pointwise inclusion residual (the distance of ``f - L phi`` to the
-    interval) at ``phi``."""
+    interval) at ``phi`` in states ``s``.  The interval is read from the
+    state: a free node's polynomial value, a pinned node's row of
+    ``limits``; the same float operations as the one-sided limits of
+    ``Superpotential.interval``."""
+    beta, lo_at, hi_at = limits
     target = f - apply(opr, phi)
-    lo, hi = sp.interval(phi)
+    pinned = (s & 1).astype(bool)
+    value = _horner(beta, s >> 1, phi)   # >> 1 and & 1: // 2 and % 2
+    row = (s + 1) >> 1
+    lo = np.where(pinned, lo_at[row], value)
+    hi = np.where(pinned, hi_at[row], value)
     resid = np.maximum(np.maximum(lo - target, target - hi), 0.0)
     return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
@@ -238,20 +270,21 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     moves one step along this order: a free node crossing a breakpoint is
     pinned at the first one it crosses, and a pinned node whose required
     ``xi`` lies above (below) its interval is released to the right
-    (left).  Each step solves the linearisation on the free nodes by CG to
-    ``max(min(0.1, rn / rn0) ** 2, 1e-13)`` (``rn0``: the starting residual
-    norm), and on to 1e-13 if that step stays inside every free node's
-    piece; a merit line search follows.  Reports the best iterate, without
+    (left).  Each step solves the linearisation on the free nodes by one
+    CG run to ``max(min(0.1, rn / rn0) ** 2, 1e-13)`` (``rn0``: the starting
+    residual norm), which continues to 1e-13 if the step it has reached
+    stays inside every free node's piece; a merit line search follows.  The
+    residual at each trial point is read from its state, so ``searchsorted``
+    runs only on the starting ``phi``.  Reports the best iterate, without
     certificates; the last trace entry names the reason the loop stopped.
     """
     density = sp.density
     bp = density.breakpoints
     ends = np.concatenate(([-np.inf], bp, [np.inf]))  # piece p: ends[p:p+2]
     K, kappa, mu = opr.stiffness, opr.graph.kappa, opr.graph.mu
-    n = len(phi)
-    s = (np.searchsorted(bp, phi, side="left")
-         + np.searchsorted(bp, phi, side="right"))
-    m = _measure(opr, sp, phi, f)
+    n, limits = len(phi), _limits(density)
+    s = _state(bp, phi)
+    m = _measure(opr, limits, phi, s, f)
     best, seen, trace, rn0 = (phi, *m), {}, [], m[0]
     steps = solves = iters = backtracks = 0
     while True:
@@ -286,19 +319,18 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         diag = kappa[free] + mu[free] * density.derivative(x, piece)
         diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
         Kf = K if len(free) == n else K[free][:, free]
-        cap, eta = 4 * len(free) + 200, max(min(0.1, rn / rn0) ** 2, 1e-13)
-        dx, _, iters = _pcg(Kf, diag, -r, eta, cap)
         left, right = ends[piece], ends[piece + 1]
-        if eta > 1e-13 and np.all((x + dx > left) & (x + dx < right)):
-            dx, _, polish = _pcg(Kf, diag, -r, 1e-13, cap, dx)
-            iters += polish
+        cap, eta = 4 * len(free) + 200, max(min(0.1, rn / rn0) ** 2, 1e-13)
+        more = None if eta <= 1e-13 else (
+            1e-13, lambda dx: np.all((x + dx > left) & (x + dx < right)))
+        dx, _, iters = _pcg(Kf, diag, -r, eta, cap, more)
 
         def move(alpha):
             step = x + alpha * dx
             trial, ts = phi.copy(), s.copy()
             trial[free] = np.clip(step, left, right)
             ts[free] += (step >= right).astype(int) - (step <= left)
-            return trial, ts, _measure(opr, sp, trial, f)
+            return trial, ts, _measure(opr, limits, trial, ts, f)
 
         solves, backtracks, alpha = 1, 0, 1.0
         full = trial = move(alpha)

@@ -568,6 +568,126 @@ class TestInfiniteGraphLimit:
             assert rep.tail_masses[i] == pytest.approx(want, rel=1e-9)
 
 
+class TestNonsmoothLimit:
+    """``exhaust`` for ``j = c|t|`` on the path and the binary tree against
+    the closed-form solution, which has compact support.
+
+    Unit mu, rho and gamma, kappa ``K`` and a root-only load ``F > c``.  The
+    solution is radial.  Free nodes (``phi_d > 0``, ``xi = c``) lie above
+    the first pinned depth D and solve the recurrence of
+    ``TestInfiniteGraphLimit`` (with ``C = 0``) plus ``c``, so ``phi_d = A q1^d + B q2^d - c / K`` with
+    ``deg q^2 - (deg + 1 + K) q + 1 = 0``; the root row
+    ``(deg + K) phi_0 - deg phi_1 + c = F`` and ``phi_D = 0`` fix A and B.
+    From depth D on ``phi = 0``.  D is the depth at which that is
+    consistent: ``phi_d > 0`` for ``d < D``, and the subgradient required at
+    depth D, ``phi_{D-1}``, is at most c.  A ball of depths 0 .. R with
+    ``R >= D`` holds the support and its pinned layer, so it has the
+    infinite graph's solution.  A smaller ball has no pinned layer: its
+    last row, with no edge below depth R, replaces ``phi_D = 0``.
+    """
+
+    # (kind, deg, K, c, F, radii, support nodes)
+    CASES = [("path", 1, 1.0, 1.0, 10.0, (2, 4, 8, 12, 16), 3),
+             ("path", 1, 0.1, 0.5, 20.0, (4, 8, 12, 16), 10),
+             ("binary-tree", 2, 1.0, 1.0, 10.0, (2, 3, 4, 6), 3),
+             ("binary-tree", 2, 0.1, 0.5, 20.0, (2, 4, 6, 8), 31)]
+
+    @staticmethod
+    def ball(deg, K, c, F, R):
+        """phi by depth on the ball of depths 0 .. R, and its first pinned
+        depth (R + 1 when every node is free)."""
+        b = deg + 1 + K
+        q2 = (b + math.sqrt(b * b - 4 * deg)) / (2 * deg)
+        q1 = 1 / (deg * q2)
+        solutions = []
+        for D in range(1, R + 2):
+            # phi_d = A q1^d + B q2^(d - E) - c / K; the root row's constant
+            # terms add up to F, and the last row is phi_D = 0 or, for
+            # D = R + 1, (phi_R - phi_{R-1}) + K phi_R + c = 0
+            E = min(D, R)
+            root = [deg + K - deg * q1, q2 ** -E * (deg + K - deg * q2)]
+            last = ([q1 ** D, 1.0] if D <= R else
+                    [q1 ** (R - 1) * ((1 + K) * q1 - 1),
+                     ((1 + K) * q2 - 1) / q2])
+            A, B = np.linalg.solve([root, last], [F, c / K if D <= R else 0])
+            d = np.arange(min(D, R + 1))
+            phi = A * q1 ** d + B * q2 ** (d - E) - c / K
+            if np.all(phi > 0) and (D > R or phi[-1] <= c):
+                solutions.append((np.concatenate((phi, np.zeros(R + 1 - D))),
+                                  D))
+        assert len(solutions) == 1   # the solution is unique
+        return solutions[0]
+
+    def test_closed_form_by_hand(self):
+        # (68, 19, 2) / 13 solves the three free rows; phi_2 <= c pins depth 3
+        phi, D = self.ball(1, 1.0, 1.0, 10.0, 16)
+        assert D == 3
+        np.testing.assert_allclose(phi[:4], np.array([68, 19, 2, 0]) / 13,
+                                   rtol=0, atol=1e-14)
+        assert not np.any(phi[3:])
+
+    @staticmethod
+    def run(kind, K, c, radii, f_law):
+        gen = GraphGenerator(kind=kind, mu=constant(), rho=constant(),
+                             gamma=constant(), kappa=constant(K))
+        rep = exhaust(gen, abs_density(c), f_law, radii, 1e-6)
+        assert all(sol.converged for sol in rep.solutions)
+        return rep
+
+    def mismatches(self, rep, kind, deg, K, c, F, shift=0):
+        """Where ``rep`` differs from the closed form, with the closed
+        form's depths moved by ``shift``."""
+        D = self.ball(deg, K, c, F, 60)[1]
+        out, want = [], []
+        for i, g in enumerate(rep.graphs):
+            r = int(rep.radii[i])   # unit rho: depths 0 .. r - 1
+            depth = np.array([int(v) if kind == "path" else len(v) - 1
+                              for v in g.nodes])
+            want.append(self.ball(deg, K, c, F, r - 1)[0][
+                np.clip(depth + shift, 0, r - 1)])
+            err = np.max(np.abs(rep.solutions[i].phi - want[i]))
+            if not err <= 1e-12:
+                out.append(f"level {i}: phi off by {err:.3g}")
+            # the tail: depths from the previous radius on (r / 2 first)
+            cut = rep.radii[i - 1] if i else r / 2
+            tail = np.linalg.norm(want[i][depth >= cut])
+            if (rep.tail_masses[i] != 0.0 if cut >= D else
+                    rep.tail_masses[i] != pytest.approx(tail, rel=1e-9)):
+                out.append(f"level {i}: tail {rep.tail_masses[i]}")
+            if not i:
+                continue
+            prev = rep.graphs[i - 1]
+            inc = gh.sobolev_norms(prev, want[i][:prev.num_nodes]
+                                   - want[i - 1]).w_hilbert
+            if (rep.increments[i - 1] != 0.0 if rep.radii[i - 1] - 1 >= D
+                    else rep.increments[i - 1] != pytest.approx(inc,
+                                                                rel=1e-9)):
+                out.append(f"level {i}: increment {rep.increments[i - 1]}")
+        return out
+
+    @pytest.mark.parametrize("kind, deg, K, c, F, radii, support", CASES)
+    def test_levels_increments_and_tails(self, kind, deg, K, c, F, radii,
+                                         support):
+        far, D = self.ball(deg, K, c, F, 60)
+        assert 1 + sum(deg ** np.arange(1, D)) == support
+        # two levels or more hold the support and its pinned layer, and
+        # there the ball's closed form is the infinite graph's, bitwise
+        holding = [r for r in radii if r - 1 >= D]
+        assert len(holding) >= 2 and radii[0] - 1 < D
+        for r in holding:
+            assert np.array_equal(self.ball(deg, K, c, F, r - 1)[0], far[:r])
+        rep = self.run(kind, K, c, radii,
+                       WeightLaw("root-only", {"value": F}))
+        assert self.mismatches(rep, kind, deg, K, c, F) == []
+        # the check sees the profile one depth off either way
+        for shift in (-1, 1):
+            assert self.mismatches(rep, kind, deg, K, c, F, shift)
+        # and the load one depth down
+        moved = self.run(kind, K, c, radii,
+                         lambda depth: F if depth == 1 else 0.0)
+        assert self.mismatches(moved, kind, deg, K, c, F)
+
+
 class TestDocuments:
     DOC = {
         "kind": "path",

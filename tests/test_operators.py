@@ -237,7 +237,7 @@ def zero_start_pcg(A, d, rhs, tol, max_iter):
 
 
 class TestPCG:
-    """``_pcg`` with and without a warm start ``x0``."""
+    """``_pcg`` from zero, alone and continued past its first tolerance."""
 
     @staticmethod
     def system(seed, max_nodes=80):
@@ -255,23 +255,37 @@ class TestPCG:
                 assert x.tobytes() == ox.tobytes()
                 assert (rel, it) == (orel, oit)
 
-    def test_exact_start_takes_no_iteration(self):
-        A = sparse.csr_matrix((2, 2))
-        x, rel, it = _pcg(A, np.array([2.0, 4.0]), np.array([2.0, 8.0]),
-                          1e-13, 50, np.array([1.0, 2.0]))
-        assert (x.tolist(), rel, it) == ([1.0, 2.0], 0.0, 0)
+    def test_continued_run_matches_one_run_bytewise(self):
+        for seed in range(20):
+            A, d, rhs = self.system(seed)
+            seen = []
 
-    def test_warm_start_from_a_loose_solution(self):
+            def accept(x):
+                seen.append(x.copy())
+                return True
+
+            loose = _pcg(A, d, rhs, 1e-2, 500)
+            out = _pcg(A, d, rhs, 1e-2, 500, (1e-13, accept))
+            one = _pcg(A, d, rhs, 1e-13, 500)
+            assert 1e-13 < loose[1] <= 1e-2 and one[1] <= 1e-13
+            assert len(seen) == 1   # asked once, at the loose solution
+            assert seen[0].tobytes() == loose[0].tobytes()
+            assert out[0].tobytes() == one[0].tobytes()
+            assert out[1:] == one[1:]
+
+    def test_declined_continuation_stops_at_the_first_tolerance(self):
         for seed in range(5):
             A, d, rhs = self.system(seed, max_nodes=200)
-            loose, rel, _ = _pcg(A, d, rhs, 1e-2, 1000)
-            assert 1e-13 < rel <= 1e-2
-            x0 = loose.copy()
-            x, rel, it = _pcg(A, d, rhs, 1e-13, 1000, x0)
-            assert rel <= 1e-13 and it > 0
-            assert x0.tobytes() == loose.tobytes()   # not modified
-            assert (np.linalg.norm(A @ x + d * x - rhs)
-                    <= 1.01e-13 * np.linalg.norm(rhs))
+            seen = []
+            loose = _pcg(A, d, rhs, 1e-2, 1000)
+            out = _pcg(A, d, rhs, 1e-2, 1000,
+                       (1e-13, lambda x: seen.append(x) or False))
+            assert len(seen) == 1
+            assert out[0].tobytes() == loose[0].tobytes()
+            assert out[1:] == loose[1:]
+            # a run the cap stops before the first tolerance is not asked
+            capped = _pcg(A, d, rhs, 1e-2, 1, (1e-13, seen.append))
+            assert len(seen) == 1 and capped[1] > 1e-2 and capped[2] == 1
 
     def test_extreme_right_hand_sides(self):
         # ||rhs||^2 overflows (1e301) or underflows (1e-200) unscaled

@@ -9,13 +9,16 @@ import pytest
 
 import graphhvi as gh
 import graphhvi.solvers
+from graphhvi.calculus import lp_norm_nodes
 from graphhvi.exhaustion import GraphGenerator, WeightLaw, truncate
+from graphhvi.operators import apply, assemble
 from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
                               SolverOptions, certify,
                               default_certificate_range, energy,
                               hvi_residual, solve_elliptic, solve_parabolic,
                               sum_directional_bound, sum_functional,
                               verify_inclusion)
+from graphhvi.solvers import _limits, _measure, _state
 from graphhvi.superpotential import PiecewiseDensity, build
 
 from conftest import (abs_density, down_jump_density, make_random_graph,
@@ -202,8 +205,8 @@ class TestActiveSet:
 
 
 class TestInexactNewton:
-    """Inner CG tolerance ``min(0.1, rn / rn0) ** 2``, made exact within the
-    step once the step stays inside the current pieces."""
+    """Inner CG tolerance ``min(0.1, rn / rn0) ** 2``, continued to 1e-13
+    within the step once the step stays inside the current pieces."""
 
     @staticmethod
     def lattice_problem(spec, c=1.0):
@@ -234,7 +237,7 @@ class TestInexactNewton:
         assert steps[0] == steps[1]
         assert runs[0].phi.tobytes() == runs[1].phi.tobytes()
 
-    def test_linear_iters_count_both_solves(self, monkeypatch):
+    def test_linear_iters_count_one_continued_solve(self, monkeypatch):
         calls = []
 
         def counting(*args):
@@ -248,8 +251,91 @@ class TestInexactNewton:
         assert rep.converged
         trace = rep.iterations
         assert [t["inner_steps"] for t in trace] == [0] + [1] * len(trace[1:])
-        assert len(trace) - 1 < len(calls)   # some steps were polished
-        assert sum(t["linear_iters"] for t in trace[1:]) == sum(calls)
+        assert len(calls) == len(trace) - 1   # one CG run per step
+        assert [t["linear_iters"] for t in trace[1:]] == calls
+        # a restarted exact continuation took 430 iterations here
+        assert sum(calls) < 430
+
+
+def bitwise_equal(a, b) -> bool:
+    """Equal bytes as float64 arrays; so NaN equals the same NaN."""
+    return (np.asarray(a, dtype=float).tobytes()
+            == np.asarray(b, dtype=float).tobytes())
+
+
+class TestStateResidual:
+    """The residual at a trial point reads each node's interval from its
+    state; it must equal the ``searchsorted`` path of
+    ``Superpotential.interval`` byte for byte, NaN included."""
+
+    @staticmethod
+    def by_search(opr, sp, phi, f):
+        target = f - apply(opr, phi)
+        lo, hi = sp.interval(phi)
+        resid = np.maximum(np.maximum(lo - target, target - hi), 0.0)
+        return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
+
+    def check(self, opr, sp, phi, s, f):
+        got = _measure(opr, _limits(sp.density), phi, s, f)
+        for a, b in zip(got, self.by_search(opr, sp, phi, f)):
+            assert bitwise_equal(a, b)
+
+    @staticmethod
+    def recorded(monkeypatch, problem):
+        """The solve's report and the ``(phi, s)`` of every residual."""
+        calls = []
+
+        def recording(opr, limits, phi, s, f):
+            calls.append((opr, phi.copy(), s.copy(), f))
+            return _measure(opr, limits, phi, s, f)
+
+        monkeypatch.setattr(graphhvi.solvers, "_measure", recording)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = solve_elliptic(problem,
+                                 SolverOptions(with_certificates=False))
+        return rep, calls
+
+    def test_every_trial_of_a_nonconvex_solve(self, monkeypatch):
+        problem = TestInexactNewton.lattice_problem(NONCONVEX3)
+        rep, calls = self.recorded(monkeypatch, problem)
+        assert rep.converged and len(calls) > 50
+        bp = problem.sp.density.breakpoints
+        for opr, phi, s, f in calls:
+            assert np.array_equal(s, _state(bp, phi))
+            self.check(opr, problem.sp, phi, s, f)
+
+    def test_on_breakpoints(self):
+        problem = TestInexactNewton.lattice_problem(NONCONVEX3)
+        sp, g = problem.sp, problem.graph
+        bp = sp.density.breakpoints
+        rng = np.random.default_rng(3)
+        values = np.concatenate((bp, [-0.0, -0.7, -0.2, 0.2, 0.9]))
+        opr = assemble(g)
+        for _ in range(5):
+            phi = rng.choice(values, g.num_nodes)
+            s = _state(bp, phi)
+            assert 0 < np.sum(s % 2) < g.num_nodes
+            self.check(opr, sp, phi, s, problem.f)
+            assert bitwise_equal(verify_inclusion(g, sp, phi, problem.f),
+                                 self.by_search(opr, sp, phi, problem.f)[-1])
+
+    @pytest.mark.parametrize("load", [1e300, -1e300])
+    def test_step_overflowing_on_an_unbounded_piece(self, monkeypatch, load):
+        # kappa 1e-300 and a constant piece: the released node's step is
+        # load / kappa, which overflows; the trial then lies at +-inf in
+        # the state one past the outermost breakpoint
+        problem = EllipticProblem(single_node(kappa=1e-300), abs_density(),
+                                  np.array([load]))
+        rep, calls = self.recorded(monkeypatch, problem)
+        opr, phi, s, f = calls[-1]
+        assert phi[0] == load * math.inf and s[0] == (3 if load > 0 else -1)
+        with np.errstate(invalid="ignore"):   # inf * 0 in the polynomials
+            for opr, phi, s, f in calls:
+                self.check(opr, problem.sp, phi, s, f)
+            want = self.by_search(opr, problem.sp, phi, f)[0]
+        last = rep.iterations[-1]
+        assert last["reason"] == "non-finite" and not rep.converged
+        assert bitwise_equal(last["residual_norm"], want)
 
 
 def _sweep_graphs():
