@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,11 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
     c = constants(g)
     r = default_certificate_range(g, problem.f, c)
     margin = 0.5 * c.m_coercive
-    gc = growth_certificate(sp, r)
+    # an overflowed range r = inf puts inf and NaN on the candidate grid,
+    # and the constants come out NaN: reported, not warned about
+    with np.errstate(invalid="ignore"):
+        gc = growth_certificate(sp, r)
+        rmc = relaxed_monotonicity_constant(sp, r)
     scope = "global" if gc.global_bound else f"range [-{r:g}, {r:g}] only"
     existence = Certificate(
         kind="existence-smallness",
@@ -204,7 +209,7 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
         lhs=gc.alpha_j, rhs=margin,
         note=f"growth constant ({scope}) vs margin m_coercive/2",
     )
-    uniq_lhs = max(relaxed_monotonicity_constant(sp, r), gc.alpha_j)
+    uniq_lhs = max(rmc, gc.alpha_j)
     uniqueness = Certificate(
         kind="uniqueness",
         satisfied=uniq_lhs < margin,
@@ -217,6 +222,10 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
 
 # ---------------------------------------------------------------------------
 # active-set semismooth Newton
+
+# the nonmonotone line search's memory in iterates (see _solve); 1 makes
+# both the search and the cycle test monotone
+WINDOW = 10
 
 
 def _state(bp: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -259,6 +268,9 @@ def _measure(opr: AssembledOperator, limits, phi: np.ndarray, s: np.ndarray,
     return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
 
+# a step may overflow; the loop then stops "non-finite", so a float warning
+# would only repeat what the trace says
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
            phi: np.ndarray, opts: SolverOptions,
            c: OperatorConstants) -> SolveReport:
@@ -273,10 +285,15 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     (left).  Each step solves the linearisation on the free nodes by one
     CG run to ``max(min(0.1, rn / rn0) ** 2, 1e-13)`` (``rn0``: the starting
     residual norm), which continues to 1e-13 if the step it has reached
-    stays inside every free node's piece; a merit line search follows.  The
-    residual at each trial point is read from its state, so ``searchsorted``
-    runs only on the starting ``phi``.  Reports the best iterate, without
-    certificates; the last trace entry names the reason the loop stopped.
+    stays inside every free node's piece.  A nonmonotone line search
+    (Grippo, Lampariello and Lucidi) takes the first ``alpha`` of 1, 1/2,
+    ..., 2**-10 whose residual norm is at most ``(1 - 1e-4 alpha)`` times
+    the largest of the last ``WINDOW`` iterates', else the full step.  A
+    state repeating at no smaller residual ends the loop ``cycled`` once
+    ``WINDOW`` steps have passed without a new best.  The residual at each
+    trial point is read from its state, so ``searchsorted`` runs only on the
+    starting ``phi``.  Reports the best iterate, without certificates; the
+    last trace entry names the reason the loop stopped.
     """
     density = sp.density
     bp = density.breakpoints
@@ -286,7 +303,8 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     s = _state(bp, phi)
     m = _measure(opr, limits, phi, s, f)
     best, seen, trace, rn0 = (phi, *m), {}, [], m[0]
-    steps = solves = iters = backtracks = 0
+    recent = deque(maxlen=WINDOW)
+    steps = solves = iters = backtracks = best_step = 0
     while True:
         rn, target, lo, hi, _ = m
         trace.append({"stage": "active-set", "inner_steps": solves,
@@ -296,15 +314,16 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
             reason = "non-finite"
             break
         if rn < best[1]:
-            best = (phi, *m)
+            best, best_step = (phi, *m), steps
         if rn <= opts.tol:
             reason = "tol-reached"
             break
         key = s.tobytes()
-        if seen.get(key, math.inf) <= rn:
+        if seen.get(key, math.inf) > rn:
+            seen[key] = rn
+        elif steps - best_step >= WINDOW:
             reason = "cycled"
             break
-        seen[key] = rn
         if steps >= opts.max_inner:
             reason = "max-iter"
             break
@@ -332,13 +351,15 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
             ts[free] += (step >= right).astype(int) - (step <= left)
             return trial, ts, _measure(opr, limits, trial, ts, f)
 
+        recent.append(rn)
+        ref = max(recent)
         solves, backtracks, alpha = 1, 0, 1.0
         full = trial = move(alpha)
-        while trial[2][0] > (1.0 - 1e-4 * alpha) * rn and alpha > 2.0 ** -10:
+        while trial[2][0] > (1.0 - 1e-4 * alpha) * ref and alpha > 2.0 ** -10:
             alpha *= 0.5
             backtracks += 1
             trial = move(alpha)
-        if not trial[2][0] < rn:  # no descent: take the full step
+        if not trial[2][0] < ref:  # none below ref: take the full step
             trial = full
         phi, s, m = trial
     trace[-1]["reason"] = reason

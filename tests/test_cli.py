@@ -312,6 +312,24 @@ class TestSolveElliptic:
         assert code == 0
         assert json.loads(out)["residual_norm"] <= 1e-10
 
+    def test_overflowing_step_prints_no_warning(self, tmp_path):
+        # kappa 1e-300 and load 1e300: the released node's step load / kappa
+        # overflows, and so does the certificate range
+        write(tmp_path / "graph.json", {
+            "nodes": [{"id": "v", "mu": 1.0, "kappa": 1e-300}],
+            "adjacencies": []})
+        path = write(tmp_path / "problem.json", {
+            "graph": "graph.json", "superpotential": ABS_SP,
+            "f": {"v": 1e300}})
+        proc = run_module("solve-elliptic", "--problem", path)
+        assert proc.returncode == 1
+        assert proc.stderr == ""   # no RuntimeWarning
+        report = json.loads(proc.stdout)
+        assert report["trace"][-1]["reason"] == "non-finite"
+        assert report["solution"] == {"v": 0}
+        assert report["residual_norm"] == 1e300
+        assert report["certificates"][0]["lhs"] == "nan"
+
 
 class TestCertify:
     def test_certificate_document(self, workspace, capsys):

@@ -257,6 +257,41 @@ class TestInexactNewton:
         assert sum(calls) < 430
 
 
+class TestNonmonotoneSearch:
+    """Trials against the largest residual norm of the last ``WINDOW``
+    iterates; a repeated state is a cycle only after ``WINDOW`` steps with
+    no new best.  ``WINDOW = 1`` is the monotone search."""
+
+    def test_window_one_is_the_monotone_search(self, monkeypatch):
+        monkeypatch.setattr(graphhvi.solvers, "WINDOW", 1)
+        rep, calls = TestStateResidual.recorded(
+            monkeypatch, TestInexactNewton.lattice_problem(NONCONVEX3))
+        assert rep.converged
+        assert len(rep.iterations) - 1 == 16 and len(calls) == 63
+        assert [t["backtracks"] for t in rep.iterations] == [
+            0, 2, 10, 0, 2, 2, 2, 2, 2, 10, 1, 1, 1, 10, 0, 1, 0]
+
+    def test_fewer_residual_evaluations(self, monkeypatch):
+        # the monotone search makes 63 here: three steps backtrack ten
+        # times, find no descent and take the full step anyway
+        rep, calls = TestStateResidual.recorded(
+            monkeypatch, TestInexactNewton.lattice_problem(NONCONVEX3))
+        assert rep.converged and len(calls) <= 40
+
+    def test_revisited_state_is_not_a_cycle(self):
+        # draw (1005, 104): a nonmonotone step returns to an earlier state
+        # at the same residual; the monotone cycle test stopped there
+        rng = np.random.default_rng(1005)
+        for i in range(105):
+            g, bps, pieces, f = TestEnumerationOracle.draw(rng,
+                                                           mild=i % 2 == 1)
+        sp = build(PiecewiseDensity(bps, tuple(pieces)))
+        rep = solve_elliptic(EllipticProblem(g, sp, f))
+        [x] = enumerate_solutions(g, bps, pieces, f)
+        assert rep.converged
+        assert np.allclose(rep.phi, x, rtol=0, atol=1e-6)
+
+
 def bitwise_equal(a, b) -> bool:
     """Equal bytes as float64 arrays; so NaN equals the same NaN."""
     return (np.asarray(a, dtype=float).tobytes()
@@ -296,13 +331,18 @@ class TestStateResidual:
         return rep, calls
 
     def test_every_trial_of_a_nonconvex_solve(self, monkeypatch):
-        problem = TestInexactNewton.lattice_problem(NONCONVEX3)
-        rep, calls = self.recorded(monkeypatch, problem)
-        assert rep.converged and len(calls) > 50
-        bp = problem.sp.density.breakpoints
+        base = TestInexactNewton.lattice_problem(NONCONVEX3)
+        calls = []
+        for scale in (1.0, 0.9, 1.1):   # 30, 36 and 33 trials
+            problem = dataclasses.replace(base, f=scale * base.f)
+            rep, more = self.recorded(monkeypatch, problem)
+            assert rep.converged
+            calls += more
+        assert len(calls) > 50
+        bp = base.sp.density.breakpoints
         for opr, phi, s, f in calls:
             assert np.array_equal(s, _state(bp, phi))
-            self.check(opr, problem.sp, phi, s, f)
+            self.check(opr, base.sp, phi, s, f)
 
     def test_on_breakpoints(self):
         problem = TestInexactNewton.lattice_problem(NONCONVEX3)
