@@ -198,10 +198,12 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
     r = default_certificate_range(g, problem.f, c)
     margin = 0.5 * c.m_coercive
     # an overflowed range r = inf puts inf and NaN on the candidate grid,
-    # and the constants come out NaN: reported, not warned about
+    # and the constants come out NaN: reported (np.maximum keeps the NaN
+    # that max() would drop), not warned about
     with np.errstate(invalid="ignore"):
         gc = growth_certificate(sp, r)
         rmc = relaxed_monotonicity_constant(sp, r)
+        uniq_lhs = float(np.maximum(rmc, gc.alpha_j))
     scope = "global" if gc.global_bound else f"range [-{r:g}, {r:g}] only"
     existence = Certificate(
         kind="existence-smallness",
@@ -209,7 +211,6 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
         lhs=gc.alpha_j, rhs=margin,
         note=f"growth constant ({scope}) vs margin m_coercive/2",
     )
-    uniq_lhs = max(rmc, gc.alpha_j)
     uniqueness = Certificate(
         kind="uniqueness",
         satisfied=uniq_lhs < margin,

@@ -27,6 +27,28 @@ def _table(polys) -> np.ndarray:
     return np.array(list(zip_longest(*polys, fillvalue=0.0)))
 
 
+def _trim(c: np.ndarray) -> np.ndarray:
+    """``c`` without trailing zeros (one kept), as numpy.polynomial trims."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _der(c: np.ndarray) -> np.ndarray:
+    """The bits of ``P.polyder``: the products ``j * c[j]``, or ``c[:1] * 0``
+    for a constant."""
+    return c[:1] * 0 if len(c) == 1 else np.arange(1.0, len(c)) * c[1:]
+
+
+def _antider(c: np.ndarray) -> np.ndarray:
+    """The bits of ``P.polyint``: ``[0]`` for a zero constant, else
+    ``c[j] / (j + 1)`` after ``c[0] * 0 + (0 - p(0))``, +0 for finite c."""
+    if len(c) == 1 and c[0] == 0:
+        return np.zeros(1)
+    return np.concatenate(([0.0], c / np.arange(1.0, len(c) + 1)))
+
+
 def _horner(table: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Polynomial ``idx`` of ``table`` at ``x``, bit-identical to ``P.polyval``
     on its unpadded coefficients: the same ``c[-1] + x*0``, then
@@ -72,14 +94,15 @@ class PiecewiseDensity:
 
     @cached_property
     def _beta_prime(self) -> np.ndarray:
-        return _table([P.polyder(c) for c in self.pieces])
+        return _table([_der(c) for c in self.pieces])
 
-    def _limits(self, x: np.ndarray) -> np.ndarray:
-        """Left and right limits stacked as a ``(2, *x.shape)`` array."""
+    def _limits(self, x: np.ndarray, table=None) -> np.ndarray:
+        """Left and right limits of beta (or of the pieces of ``table``)
+        stacked as a ``(2, *x.shape)`` array."""
         bp = self.breakpoints
         idx = np.stack((np.searchsorted(bp, x, side="left"),
                         np.searchsorted(bp, x, side="right")))
-        return _horner(self._beta, idx, x)
+        return _horner(self._beta if table is None else table, idx, x)
 
     def _piece(self, x, piece) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -158,84 +181,91 @@ class Superpotential:
 
     def derivative_bound(self, r: float) -> float:
         """sup over [-r, r] of |beta'|, one-sided limits at breakpoints."""
-        return _sup_abs(_derivative_density(self.density), r)
+        left, right = _derivative_limits(self.density, r)
+        return float(np.max(np.maximum(np.abs(left), np.abs(right)),
+                            initial=0.0))
 
 
 def build(density: PiecewiseDensity) -> Superpotential:
     """Antidifferentiate a density with continuity constants and j(0) = 0."""
     bp = density.breakpoints
-    prim = [P.polyint(c) for c in density.pieces]
+    prim = [_antider(c) for c in density.pieces]
     k = len(bp)
     consts = [0.0] * (k + 1)
     i0 = int(np.searchsorted(bp, 0.0, side="right"))
-    consts[i0] = -float(P.polyval(0.0, prim[i0]))
+    # piece i0 at 0, piece i at bp[i], piece i + 1 at bp[i]
+    at0, *ends = _horner(_table(prim), np.r_[i0, 0:k, 1:k + 1],
+                         np.r_[0.0, bp, bp]).tolist()
+    own, nxt = ends[:k], ends[k:]
+    consts[i0] = -at0
     for i in range(i0, k):  # rightward continuity at bp[i]
-        consts[i + 1] = (float(P.polyval(bp[i], prim[i])) + consts[i]
-                         - float(P.polyval(bp[i], prim[i + 1])))
+        consts[i + 1] = own[i] + consts[i] - nxt[i]
     for i in range(i0 - 1, -1, -1):  # leftward continuity at bp[i]
-        consts[i] = (float(P.polyval(bp[i], prim[i + 1])) + consts[i + 1]
-                     - float(P.polyval(bp[i], prim[i])))
-    anti = []
+        consts[i] = nxt[i] + consts[i + 1] - own[i]
     for c, c0 in zip(prim, consts):
-        c = c.copy()
         c[0] += c0
-        anti.append(c)
-    return Superpotential(density=density, antiderivative=tuple(anti))
+    return Superpotential(density=density, antiderivative=tuple(prim))
 
 
 def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
-    coef = np.atleast_1d(coef)
+    if len(coef) == 1:  # a constant: no root, and nothing to divide
+        return coef[:0]
     # drop leading coefficients that are 0 or so tiny the companion overflows
     with np.errstate(all="ignore"):
         while len(coef) > 1 and not np.all(np.isfinite(coef[:-1] / coef[-1])):
             coef = coef[:-1]
-    roots = P.polyroots(coef)
-    roots = roots[np.abs(roots.imag) < 1e-10].real
+    if len(coef) > 2:
+        roots = P.polyroots(coef)
+        roots = roots[np.abs(roots.imag) < 1e-10].real
+    else:  # none for a constant, -c0 / c1 for a line
+        roots = np.array([-coef[0] / coef[1]] if len(coef) == 2 else [])
     return roots[(roots > a) & (roots < b)]
 
 
-def _pieces_within(density: PiecewiseDensity, r: float):
+def _pieces_within(bp: np.ndarray, pieces, r: float):
     """Each piece's coefficients with its nonempty part ``(a, b)`` of [-r, r]."""
-    bp = density.breakpoints
-    bounds = np.concatenate(([-r], np.clip(bp, -r, r), [r]))
-    for c, a, b in zip(density.pieces, bounds[:-1], bounds[1:]):
+    bounds = [-r, *np.clip(bp, -r, r).tolist(), r]
+    for c, a, b in zip(pieces, bounds[:-1], bounds[1:]):
         if a < b:
             yield c, a, b
 
 
-def _extremum_candidates(density: PiecewiseDensity, r: float) -> np.ndarray:
-    """Breakpoints, clipped piece endpoints, piece critical points, and a grid."""
-    bp = density.breakpoints
+def _candidates(bp: np.ndarray, pieces, r: float) -> list[np.ndarray]:
+    """Extremum candidates on [-r, r] of the polynomials ``pieces`` between
+    ``bp``: a grid, the breakpoints and each piece's critical points."""
     cand = [np.linspace(-r, r, _GRID), bp[(bp >= -r) & (bp <= r)]]
-    for c, a, b in _pieces_within(density, r):
-        cand.append(_real_roots(P.polyder(c), a, b))
-    return np.unique(np.concatenate(cand))
+    for c, a, b in _pieces_within(bp, pieces, r):
+        cand.append(_real_roots(_der(c), a, b))
+    return cand
 
 
-def _derivative_density(density: PiecewiseDensity) -> PiecewiseDensity:
-    """beta' on the same breakpoints."""
-    return PiecewiseDensity(density.breakpoints,
-                            tuple(P.polyder(c) for c in density.pieces))
+def _derivative_limits(density: PiecewiseDensity, r: float) -> np.ndarray:
+    """One-sided limits of beta' at its extremum candidates on [-r, r] (the
+    table's zero padding adds trailing zeros, which ``_real_roots`` drops)."""
+    table = density._beta_prime
+    pts = np.unique(np.concatenate(_candidates(density.breakpoints, table.T,
+                                               r)))
+    return density._limits(pts, table)
 
 
-def _sup_abs(density: PiecewiseDensity, r: float) -> float:
-    """sup over [-r, r] of |density|, one-sided limits at breakpoints."""
-    left, right = density.one_sided(_extremum_candidates(density, r))
-    return float(np.max(np.maximum(np.abs(left), np.abs(right)), initial=0.0))
+def _ratio_numerator(c: np.ndarray, s: float) -> np.ndarray:
+    """``(1 + s t) p' - s p`` (s = +-1) with the bits of numpy.polynomial's
+    sub (add) of mul([1, s], p') and c, whose lengths are equal."""
+    q = _trim(np.convolve([1.0, s], _trim(_der(c))))
+    return _trim(q - s * _trim(c))
 
 
 def _growth_ratio_max(sp: Superpotential, r: float) -> float:
     """max over [-r, r] of max(|lo|, |hi|) / (1 + |t|)."""
-    cand = [_extremum_candidates(sp.density, r), np.asarray([0.0])]
+    density = sp.density
+    cand = _candidates(density.breakpoints, density.pieces, r) + [np.zeros(1)]
     # critical points of p(s)/(1 +/- s) on each signed segment of each piece
-    for c, a, b in _pieces_within(sp.density, r):
-        dc = P.polyder(c)
+    for c, a, b in _pieces_within(density.breakpoints, density.pieces, r):
         if b > 0:  # d/ds p/(1+s) = 0  <=>  (1+s) p' - p = 0
-            q = P.polysub(P.polymul(np.array([1.0, 1.0]), dc), c)
-            cand.append(_real_roots(q, max(a, 0.0), b))
+            cand.append(_real_roots(_ratio_numerator(c, 1.0), max(a, 0.0), b))
         if a < 0:  # d/ds p/(1-s) = 0  <=>  (1-s) p' + p = 0
-            q = P.polyadd(P.polymul(np.array([1.0, -1.0]), dc), c)
-            cand.append(_real_roots(q, a, min(b, 0.0)))
+            cand.append(_real_roots(_ratio_numerator(c, -1.0), a,
+                                    min(b, 0.0)))
     pts = np.unique(np.concatenate(cand))
     lo, hi = sp.interval(pts)
     ratio = np.maximum(np.abs(lo), np.abs(hi)) / (1.0 + np.abs(pts))
@@ -252,13 +282,8 @@ def growth_certificate(sp: Superpotential, r: float) -> GrowthCertificate:
         raise ValueError("certification range must be positive")
     density = sp.density
     bp = density.breakpoints
-
-    def eff_degree(c):
-        c = np.trim_zeros(np.atleast_1d(c), "b")
-        return max(len(c) - 1, 0)
-
-    tails_linear = (eff_degree(density.pieces[0]) <= 1
-                    and eff_degree(density.pieces[-1]) <= 1)
+    tails_linear = (len(_trim(density.pieces[0])) <= 2
+                    and len(_trim(density.pieces[-1])) <= 2)
     if not tails_linear:
         return GrowthCertificate(alpha_j=_growth_ratio_max(sp, r), r=r,
                                  global_bound=False)
@@ -266,7 +291,6 @@ def growth_certificate(sp: Superpotential, r: float) -> GrowthCertificate:
     big = max(r, float(np.max(np.abs(bp), initial=0.0)), 1.0)
     alpha = _growth_ratio_max(sp, big)
     for c in (density.pieces[0], density.pieces[-1]):
-        c = np.atleast_1d(c)
         if len(c) > 1:
             alpha = max(alpha, abs(float(c[1])))
     return GrowthCertificate(alpha_j=alpha, r=r, global_bound=True)
@@ -284,8 +308,7 @@ def relaxed_monotonicity_constant(sp: Superpotential, r: float) -> float:
         raise ValueError("range must be positive")
     if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
         return math.inf
-    deriv = _derivative_density(sp.density)
-    left, right = deriv.one_sided(_extremum_candidates(deriv, r))
+    left, right = _derivative_limits(sp.density, r)
     return max(0.0, -float(np.min(np.minimum(left, right))))
 
 

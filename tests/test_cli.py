@@ -341,6 +341,23 @@ class TestCertify:
         assert kinds == ["existence-smallness", "uniqueness"]
         assert doc["constants"]["m_coercive"] == 1.0
 
+    def test_nan_growth_constant_leaves_uniqueness_unsatisfied(self, tmp_path,
+                                                               capsys):
+        # kappa 1e-300 and load 1e300: the certificate range overflows and
+        # the growth constant is NaN, which max() would drop
+        write(tmp_path / "graph.json", {
+            "nodes": [{"id": "v", "mu": 1.0, "kappa": 1e-300}],
+            "adjacencies": []})
+        path = write(tmp_path / "problem.json", {
+            "graph": "graph.json", "superpotential": ABS_SP,
+            "f": {"v": 1e300}})
+        code, out, err = run(["certify", "--problem", path], capsys)
+        assert (code, err) == (0, "")
+        existence, uniqueness = json.loads(out)["certificates"]
+        for cert in existence, uniqueness:
+            assert cert["lhs"] == "nan"
+            assert cert["satisfied"] is False
+
 
 class TestVerify:
     def test_round_trip(self, workspace, capsys):

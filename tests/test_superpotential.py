@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
+from numpy.polynomial import polyutils as pu
 
-from graphhvi.superpotential import (PiecewiseDensity, build, from_document,
-                                     growth_certificate, mollify,
-                                     relaxed_monotonicity_constant,
+from graphhvi.superpotential import (PiecewiseDensity, _antider, _der,
+                                     _ratio_numerator, _real_roots, _trim,
+                                     build, from_document, growth_certificate,
+                                     mollify, relaxed_monotonicity_constant,
                                      schedule_from_document)
 
 from conftest import abs_density, down_jump_density, quad_density
@@ -312,6 +314,197 @@ class TestRelaxedMonotonicity:
         exact = relaxed_monotonicity_constant(sp, r)
         est, err = _lattice_estimate(sp, r)
         assert exact >= est * (1.0 - 1e-6) - err
+
+
+# ---------------------------------------------------------------------------
+# Reference: the certificates and antiderivatives as computed through
+# numpy.polynomial before the coefficient-table helpers replaced it.
+
+
+def _ref_antiderivatives(density):
+    bp = density.breakpoints
+    prim = [P.polyint(c) for c in density.pieces]
+    k = len(bp)
+    consts = [0.0] * (k + 1)
+    i0 = int(np.searchsorted(bp, 0.0, side="right"))
+    consts[i0] = -float(P.polyval(0.0, prim[i0]))
+    for i in range(i0, k):
+        consts[i + 1] = (float(P.polyval(bp[i], prim[i])) + consts[i]
+                         - float(P.polyval(bp[i], prim[i + 1])))
+    for i in range(i0 - 1, -1, -1):
+        consts[i] = (float(P.polyval(bp[i], prim[i + 1])) + consts[i + 1]
+                     - float(P.polyval(bp[i], prim[i])))
+    anti = []
+    for c, c0 in zip(prim, consts):
+        c = c.copy()
+        c[0] += c0
+        anti.append(c)
+    return anti
+
+
+def _ref_real_roots(coef, a, b):
+    coef = np.atleast_1d(coef)
+    with np.errstate(all="ignore"):
+        while len(coef) > 1 and not np.all(np.isfinite(coef[:-1] / coef[-1])):
+            coef = coef[:-1]
+    roots = P.polyroots(coef)
+    roots = roots[np.abs(roots.imag) < 1e-10].real
+    return roots[(roots > a) & (roots < b)]
+
+
+def _ref_pieces_within(density, r):
+    bp = density.breakpoints
+    bounds = np.concatenate(([-r], np.clip(bp, -r, r), [r]))
+    for c, a, b in zip(density.pieces, bounds[:-1], bounds[1:]):
+        if a < b:
+            yield c, a, b
+
+
+def _ref_extremum_candidates(density, r):
+    bp = density.breakpoints
+    cand = [np.linspace(-r, r, 129), bp[(bp >= -r) & (bp <= r)]]
+    for c, a, b in _ref_pieces_within(density, r):
+        cand.append(_ref_real_roots(P.polyder(c), a, b))
+    return np.unique(np.concatenate(cand))
+
+
+def _ref_derivative_one_sided(density, r):
+    deriv = PiecewiseDensity(density.breakpoints,
+                             tuple(P.polyder(c) for c in density.pieces))
+    return deriv.one_sided(_ref_extremum_candidates(deriv, r))
+
+
+def _ref_growth_ratio_max(sp, r):
+    cand = [_ref_extremum_candidates(sp.density, r), np.asarray([0.0])]
+    for c, a, b in _ref_pieces_within(sp.density, r):
+        dc = P.polyder(c)
+        if b > 0:
+            q = P.polysub(P.polymul(np.array([1.0, 1.0]), dc), c)
+            cand.append(_ref_real_roots(q, max(a, 0.0), b))
+        if a < 0:
+            q = P.polyadd(P.polymul(np.array([1.0, -1.0]), dc), c)
+            cand.append(_ref_real_roots(q, a, min(b, 0.0)))
+    pts = np.unique(np.concatenate(cand))
+    lo, hi = sp.interval(pts)
+    ratio = np.maximum(np.abs(lo), np.abs(hi)) / (1.0 + np.abs(pts))
+    return float(np.max(ratio, initial=0.0))
+
+
+def _ref_growth_certificate(sp, r):
+    """``(alpha_j, global_bound)``."""
+    density = sp.density
+
+    def eff_degree(c):
+        c = np.trim_zeros(np.atleast_1d(c), "b")
+        return max(len(c) - 1, 0)
+
+    if not (eff_degree(density.pieces[0]) <= 1
+            and eff_degree(density.pieces[-1]) <= 1):
+        return _ref_growth_ratio_max(sp, r), False
+    big = max(r, float(np.max(np.abs(density.breakpoints), initial=0.0)), 1.0)
+    alpha = _ref_growth_ratio_max(sp, big)
+    for c in (density.pieces[0], density.pieces[-1]):
+        if len(c) > 1:
+            alpha = max(alpha, abs(float(c[1])))
+    return alpha, True
+
+
+def _ref_relaxed_monotonicity_constant(sp, r):
+    if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
+        return math.inf
+    left, right = _ref_derivative_one_sided(sp.density, r)
+    return max(0.0, -float(np.min(np.minimum(left, right))))
+
+
+def _ref_derivative_bound(sp, r):
+    left, right = _ref_derivative_one_sided(sp.density, r)
+    return float(np.max(np.maximum(np.abs(left), np.abs(right)), initial=0.0))
+
+
+def _same_float(a, b):
+    """The same bits, or both NaN."""
+    return (np.float64(a).tobytes() == np.float64(b).tobytes()
+            or (math.isnan(a) and math.isnan(b)))
+
+
+_SUBNORMAL = 2.2250738585e-313
+# finite coefficients with signed zeros, subnormals and wide magnitudes
+_wide = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=True),
+                  st.sampled_from([0.0, -0.0, 1.0, -1.0, _SUBNORMAL,
+                                   -_SUBNORMAL, 5e-324, 1e300, -1e300]))
+
+
+@st.composite
+def coefficients(draw):
+    """Degrees 0 to 4, sometimes with trailing zeros or a subnormal leading
+    coefficient."""
+    c = draw(st.lists(_wide, min_size=1, max_size=5))
+    tail = draw(st.sampled_from(["", "zeros", "subnormal"]))
+    if tail == "zeros":
+        c += draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                           max_size=2))
+    elif tail == "subnormal" and len(c) > 1:
+        c[-1] = draw(st.sampled_from([_SUBNORMAL, -_SUBNORMAL, 5e-324]))
+    return np.array(c)
+
+
+@st.composite
+def certificate_cases(draw):
+    """Densities with 0 to 3 breakpoints and 1 to 4 coefficients a piece,
+    and a range r from 0.01 to 1e150 or inf."""
+    bp = sorted(set(draw(st.lists(st.floats(-5, 5), max_size=3))))
+    pieces = [draw(st.lists(_wide, min_size=1, max_size=4))
+              for _ in range(len(bp) + 1)]
+    r = draw(st.one_of(st.floats(0.01, 100.0),
+                       st.sampled_from([0.01, 1.0, 1e3, 1e150, math.inf])))
+    return PiecewiseDensity(tuple(bp), tuple(pieces)), r
+
+
+class TestCoefficientArithmetic:
+    """The coefficient helpers and everything built on them keep the bits
+    of the numpy.polynomial calls they replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(coefficients())
+    @example(np.array([-0.0]))
+    @example(np.array([3.0, -0.0, 0.0]))
+    @example(np.array([1.0, 2.0, _SUBNORMAL]))
+    @example(np.array([0.0, 0.0]))
+    @np.errstate(over="ignore", invalid="ignore")  # 1e300 squared, inf - inf
+    def test_helpers_match_numpy_polynomial(self, c):
+        assert _identical(_trim(c), pu.trimseq(c))
+        assert _identical(_der(c), P.polyder(c))
+        assert _identical(_antider(c), P.polyint(c))
+        dc = P.polyder(c)
+        assert _identical(_ratio_numerator(c, 1.0),
+                          P.polysub(P.polymul(np.array([1.0, 1.0]), dc), c))
+        assert _identical(_ratio_numerator(c, -1.0),
+                          P.polyadd(P.polymul(np.array([1.0, -1.0]), dc), c))
+        if len(c) == 2 and c[1] != 0:   # a linear root, without the companion
+            assert _identical(_real_roots(c, -math.inf, math.inf),
+                              _ref_real_roots(c, -math.inf, math.inf))
+
+    @settings(deadline=None, max_examples=300)
+    @given(certificate_cases())
+    @example((PiecewiseDensity((0.0,), ([-1.0], [1.0])), math.inf))
+    @example((PiecewiseDensity((0.0,), ([0.0], [0.0, 1.0, _SUBNORMAL])), 2.0))
+    @example((PiecewiseDensity((0.5,), ([0.0, -1.0, 1.0],
+                                       [-0.25, -1.0, 1.0])), 1e150))
+    @np.errstate(over="ignore", invalid="ignore")  # r = inf, huge pieces
+    def test_certificates_and_antiderivatives_match_reference(self, case):
+        density, r = case
+        sp = build(density)
+        for got, ref in zip(sp.antiderivative, _ref_antiderivatives(density),
+                            strict=True):
+            assert _identical(got, ref)
+        gc = growth_certificate(sp, r)
+        alpha, global_bound = _ref_growth_certificate(sp, r)
+        assert _same_float(gc.alpha_j, alpha)
+        assert gc.global_bound is global_bound
+        assert _same_float(relaxed_monotonicity_constant(sp, r),
+                           _ref_relaxed_monotonicity_constant(sp, r))
+        assert _same_float(sp.derivative_bound(r),
+                           _ref_derivative_bound(sp, r))
 
 
 class TestMollify:
