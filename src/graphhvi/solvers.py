@@ -284,9 +284,14 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     pinned at the first one it crosses, and a pinned node whose required
     ``xi`` lies above (below) its interval is released to the right
     (left).  Each step solves the linearisation on the free nodes by one
-    CG run to ``max(min(0.1, rn / rn0) ** 2, 1e-13)`` (``rn0``: the starting
-    residual norm), which continues to 1e-13 if the step it has reached
-    stays inside every free node's piece.  A nonmonotone line search
+    CG run to a loose tolerance (Eisenstat and Walker): 0.01 on the first
+    step, ``max(min(0.1, min(rn / rn0, 1) ** 2), 1e-13)`` on later ones
+    (``rn0``: the starting residual norm).  The first step keeps 0.01: at
+    0.1, solves that take two steps took a third.  On meeting it, the run
+    continues to 1e-13 only if the step it has reached would finish the
+    solve, with no node changing state after it: every free node stays
+    inside its piece, and every node still pinned has its required
+    ``f - L(phi + dx)`` inside its interval.  A nonmonotone line search
     (Grippo, Lampariello and Lucidi) takes the first ``alpha`` of 1, 1/2,
     ..., 2**-10 whose residual norm is at most ``(1 - 1e-4 alpha)`` times
     the largest of the last ``WINDOW`` iterates', else the full step.  A
@@ -340,10 +345,23 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
         Kf = K if len(free) == n else K[free][:, free]
         left, right = ends[piece], ends[piece + 1]
-        cap, eta = 4 * len(free) + 200, max(min(0.1, rn / rn0) ** 2, 1e-13)
-        more = None if eta <= 1e-13 else (
-            1e-13, lambda dx: np.all((x + dx > left) & (x + dx < right)))
-        dx, _, iters = _pcg(Kf, diag, -r, eta, cap, more)
+
+        def finishing(dx):
+            """Whether no node would change state after the step ``dx``."""
+            step = x + dx
+            if not np.all((step > left) & (step < right)):
+                return False
+            trial = phi.copy()
+            trial[free] = step
+            t = f - apply(opr, trial)
+            # a node still pinned kept its state, and so its interval
+            return np.all((t >= lo) & (t <= hi) | (s % 2 == 0))
+
+        # clamped before squaring: a Python float square can overflow
+        eta = max(min(0.1 if steps > 1 else 0.01, min(rn / rn0, 1.0) ** 2),
+                  1e-13)
+        more = None if eta <= 1e-13 else (1e-13, finishing)
+        dx, _, iters = _pcg(Kf, diag, -r, eta, 4 * len(free) + 200, more)
 
         def move(alpha):
             step = x + alpha * dx

@@ -302,14 +302,15 @@ def relaxed_monotonicity_constant(sp: Superpotential, r: float) -> float:
 
     +inf if a downward jump (left limit above right limit) lies in
     [-r, r]; otherwise ``max(0, -min beta')`` over [-r, r], with one-sided
-    limits at breakpoints.
+    limits at breakpoints, or NaN where that minimum is NaN (r = inf).
     """
     if r <= 0:
         raise ValueError("range must be positive")
     if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
         return math.inf
     left, right = _derivative_limits(sp.density, r)
-    return max(0.0, -float(np.min(np.minimum(left, right))))
+    m = -float(np.min(np.minimum(left, right)))
+    return m if math.isnan(m) else max(0.0, m)   # max() would drop a NaN
 
 
 def mollify(sp: Superpotential, h: float) -> Superpotential:

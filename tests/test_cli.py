@@ -446,6 +446,25 @@ class TestSolveParabolic:
         assert code == 2
         assert err.startswith("error:") and key in err
 
+    def test_overflowing_step_prints_no_warning(self, tmp_path):
+        # the line search's window lets the residual climb to overflow:
+        # exit 1, and nothing but the report
+        write(tmp_path / "graph.json", {
+            "nodes": [{"id": "a", "mu": 1.0, "kappa": 1.0},
+                      {"id": "b", "mu": 15.0, "kappa": 1.0}],
+            "adjacencies": [{"a": "a", "b": "b", "rho": 1.0,
+                             "gamma": 1.0}]})
+        path = write(tmp_path / "parabolic.json", {
+            "graph": "graph.json",
+            "superpotential": {"breakpoints": [0.0, 1.0],
+                               "pieces": [[0.0, 0.0, 1.0], [0.0], [0.0]]},
+            "f": {"a": 0.0, "b": -5.0},
+            "parabolic": {"T": 1.0, "steps": 1,
+                          "phi0": {"a": 0.0, "b": 1.0}}})
+        proc = run_module("solve-parabolic", "--problem", path)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["converged"] is False
+
     def test_missing_parabolic_section(self, workspace, capsys):
         code, _, err = run(["solve-parabolic", "--problem",
                             str(workspace / "problem.json")], capsys)

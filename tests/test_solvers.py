@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,8 +206,9 @@ class TestActiveSet:
 
 
 class TestInexactNewton:
-    """Inner CG tolerance ``min(0.1, rn / rn0) ** 2``, continued to 1e-13
-    within the step once the step stays inside the current pieces."""
+    """Inner CG tolerance 0.01 on the first step and
+    ``min(0.1, min(rn / rn0, 1) ** 2)`` on later ones, continued to 1e-13
+    within the step once no node would change state after it."""
 
     @staticmethod
     def lattice_problem(spec, c=1.0):
@@ -255,6 +257,31 @@ class TestInexactNewton:
         assert [t["linear_iters"] for t in trace[1:]] == calls
         # a restarted exact continuation took 430 iterations here
         assert sum(calls) < 430
+
+    @pytest.mark.parametrize("spec, most", [(ABS, 150), (NONCONVEX3, 180)],
+                             ids=["abs", "nonconvex3"])
+    def test_only_the_finishing_step_runs_exact(self, monkeypatch, spec,
+                                                most):
+        # continuing whenever the free nodes stayed in their pieces ran
+        # every abs step (301 iterations) and nonconvex3 steps 3, 13 and 14
+        # (279) to 1e-13, though pinned nodes were released after them
+        calls = []
+
+        def recording(A, d, rhs, tol, max_iter, more=None):
+            out = pcg(A, d, rhs, tol, max_iter, more)
+            calls.append((tol, out[1], out[2]))
+            return out
+
+        pcg = graphhvi.solvers._pcg
+        monkeypatch.setattr(graphhvi.solvers, "_pcg", recording)
+        rep = solve_elliptic(self.lattice_problem(spec),
+                             SolverOptions(with_certificates=False))
+        assert rep.converged
+        assert all(rel <= tol for tol, rel, _ in calls)
+        # a run that stops at its loose tolerance ends above 1e-13
+        exact = [rel <= 1e-13 < tol for tol, rel, _ in calls]
+        assert exact == [False] * (len(calls) - 1) + [True]
+        assert sum(iters for *_, iters in calls) <= most
 
 
 class TestNonmonotoneSearch:
@@ -333,7 +360,7 @@ class TestStateResidual:
     def test_every_trial_of_a_nonconvex_solve(self, monkeypatch):
         base = TestInexactNewton.lattice_problem(NONCONVEX3)
         calls = []
-        for scale in (1.0, 0.9, 1.1):   # 30, 36 and 33 trials
+        for scale in (1.0, 0.9, 1.1):   # 29, 40 and 32 trials
             problem = dataclasses.replace(base, f=scale * base.f)
             rep, more = self.recorded(monkeypatch, problem)
             assert rep.converged
@@ -621,6 +648,22 @@ class TestParabolic:
         assert len(res.times) == 2
         assert res.states.shape == (2, 1)
         assert len(res.reports) == 1
+
+    def test_overflowing_search_stops_non_finite(self):
+        # the full-step fallback raises the window's reference until the
+        # residual overflows; the forcing term must not overflow before
+        # the loop stops
+        g = gh.from_data([("a", 1.0, 1.0), ("b", 15.0, 1.0)],
+                         [("a", "b", 1.0, 1.0)])
+        sp = build(PiecewiseDensity((0.0, 1.0), (np.array([0.0, 0.0, 1.0]),
+                                                 np.zeros(1), np.zeros(1))))
+        problem = ParabolicProblem(graph=g, sp=sp, f=np.array([0.0, -5.0]),
+                                   phi0=np.array([0.0, 1.0]), T=1.0, steps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_parabolic(problem)
+        assert not res.converged
+        assert res.reports[-1].iterations[-1]["reason"] == "non-finite"
 
     def test_assembles_once(self, monkeypatch):
         calls = []

@@ -299,6 +299,18 @@ class TestRelaxedMonotonicity:
         assert relaxed_monotonicity_constant(sp, 0.4) == pytest.approx(1.8)
         assert relaxed_monotonicity_constant(sp, 1.0) == math.inf
 
+    @np.errstate(invalid="ignore")   # the r = inf candidate grid
+    def test_unchecked_range_is_nan(self):
+        # at r = inf the candidate grid holds NaN, so no minimum of beta'
+        # is known: NaN, not the 0.0 that max(0.0, nan) gives
+        minus_t = build(PiecewiseDensity((), ([0.0, -1.0],)))
+        abs_t = build(PiecewiseDensity((0.0,), ([0.0, -1.0], [0.0, 1.0])))
+        t = build(PiecewiseDensity((), ([0.0, 1.0],)))
+        for sp in minus_t, abs_t, t:
+            assert math.isnan(relaxed_monotonicity_constant(sp, math.inf))
+        assert relaxed_monotonicity_constant(minus_t, 2.0) == 1.0
+        assert relaxed_monotonicity_constant(minus_t, 1e300) == 1.0
+
     @settings(deadline=None, max_examples=200)
     @given(lattice_cases())
     # exact 1e-5; round-off in the 1e-6-wide quotients puts the lattice at
@@ -413,7 +425,8 @@ def _ref_relaxed_monotonicity_constant(sp, r):
     if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
         return math.inf
     left, right = _ref_derivative_one_sided(sp.density, r)
-    return max(0.0, -float(np.min(np.minimum(left, right))))
+    m = -float(np.min(np.minimum(left, right)))
+    return m if math.isnan(m) else max(0.0, m)
 
 
 def _ref_derivative_bound(sp, r):
