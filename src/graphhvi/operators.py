@@ -17,6 +17,8 @@ from scipy import sparse
 from .calculus import _check_nodes, difference, lp_norm_edges, lp_norm_nodes
 from .graphs import WeightedGraph
 
+EXACT_TOL = 1e-13   # where a linear solve that finishes a nonsmooth one stops
+
 
 class LinearSolveError(RuntimeError):
     """Inner linear solve failed to reach its residual contract."""
@@ -92,15 +94,15 @@ def constants(g: WeightedGraph) -> OperatorConstants:
 
 
 def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
-         max_iter: int, more=None) -> tuple[np.ndarray, float, int]:
+         max_iter: int, accept=None) -> tuple[np.ndarray, float, int]:
     """Conjugate gradients on ``A + diag(d)`` from zero, preconditioned by
     its diagonal; deterministic.  Stops at
     ``||(A + diag(d)) x - rhs|| <= tol * ||rhs||``, run on ``rhs`` divided
     by a power of two (exact) so that no dot product overflows or underflows.
 
-    ``more = (tol2, accept)`` asks once, on meeting ``tol``, whether to go
-    on: if ``accept(x)`` holds, the same run continues to ``tol2``, with the
-    same float operations (and so the same bytes) as one run to ``tol2``.
+    ``accept`` is asked once, on meeting ``tol``, whether to go on: if
+    ``accept(x)`` holds, the same run continues to ``EXACT_TOL``, with the
+    same float operations (and so the same bytes) as one run to it.
     ``max_iter`` caps the iterations of the whole run.
     """
     s = math.ldexp(1.0, math.frexp(np.abs(rhs).max(initial=0.0))[1] - 1)
@@ -116,9 +118,9 @@ def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
     it = 0
     while it < max_iter:
         if not nr > stop:
-            if more is None or not more[1](x * s):
+            if accept is None or not accept(x * s):
                 break
-            stop, more = more[0] * nb, None
+            stop, accept = EXACT_TOL * nb, None
             if not nr > stop:
                 break
         if it:  # the next direction

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -24,13 +25,12 @@ import numpy as np
 from .calculus import (SobolevNormReport, _check_nodes, inner_product_nodes,
                        lp_norm_nodes, sobolev_norms)
 from .graphs import WeightedGraph
-from .operators import (AssembledOperator, OperatorConstants, _pcg, apply,
-                        assemble, bilinear_form, constants)
+from .operators import (EXACT_TOL, AssembledOperator, OperatorConstants,
+                        _pcg, apply, assemble, bilinear_form, constants)
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify
 from .superpotential import (PiecewiseDensity, Superpotential,  # noqa
-                             SuperpotentialSchedule, _horner,
-                             growth_certificate, mollify,
-                             relaxed_monotonicity_constant)
+                             SuperpotentialSchedule, growth_certificate,
+                             mollify, relaxed_monotonicity_constant)
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,9 @@ class ParabolicProblem:
     steps: int
 
     def __post_init__(self):
+        if (isinstance(self.steps, bool)
+                or not isinstance(self.steps, numbers.Integral)):
+            raise ValueError(f"steps must be an integer, not {self.steps!r}")
         if not (0 < self.T < math.inf and self.steps > 0):
             raise ValueError("need finite T > 0 and steps > 0")
         object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))
@@ -147,9 +150,7 @@ def verify_inclusion(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
                      f: np.ndarray) -> np.ndarray:
     """Pointwise inclusion residual; zero everywhere certifies a weak solution."""
     phi = _check_nodes(g, phi)
-    density = sp.density
-    return _measure(assemble(g), _limits(density), phi,
-                    _state(density.breakpoints, phi), _check_nodes(g, f))[-1]
+    return _measure(assemble(g), sp.density, phi, _check_nodes(g, f))[-1]
 
 
 def hvi_residual(g: WeightedGraph, sp: Superpotential, phi: np.ndarray,
@@ -229,42 +230,13 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
 WINDOW = 10
 
 
-def _state(bp: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Node states (see ``_solve``): ``2p`` inside piece p, ``2k + 1`` at
-    breakpoint k."""
-    return (np.searchsorted(bp, phi, side="left")
-            + np.searchsorted(bp, phi, side="right"))
-
-
-def _limits(density: PiecewiseDensity):
-    """The density's value table, and the interval ``(lo, hi)`` of a node in
-    state ``2k + 1`` at row ``k + 1``: at each breakpoint, and at -inf and
-    +inf (rows 0 and last, the states a step overflowing on an unbounded
-    piece leaves)."""
-    bp, beta = density.breakpoints, density._beta
-    k = len(bp)
-    idx = np.array([[0, *range(k + 1)], [*range(k + 1), k]])  # left, right
-    with np.errstate(invalid="ignore"):   # inf * 0 at the infinite ends
-        left, right = _horner(beta, idx,
-                              np.concatenate(([-np.inf], bp, [np.inf])))
-    return beta, np.minimum(left, right), np.maximum(left, right)
-
-
-def _measure(opr: AssembledOperator, limits, phi: np.ndarray, s: np.ndarray,
-             f: np.ndarray):
-    """Residual norm, required subgradient ``f - L phi``, its interval and
-    the pointwise inclusion residual (the distance of ``f - L phi`` to the
-    interval) at ``phi`` in states ``s``.  The interval is read from the
-    state: a free node's polynomial value, a pinned node's row of
-    ``limits``; the same float operations as the one-sided limits of
-    ``Superpotential.interval``."""
-    beta, lo_at, hi_at = limits
+def _measure(opr: AssembledOperator, density: PiecewiseDensity,
+             phi: np.ndarray, f: np.ndarray, s: np.ndarray | None = None):
+    """Residual norm, required subgradient ``f - L phi``, its interval at
+    ``phi`` in states ``s`` (``PiecewiseDensity.interval``) and the pointwise
+    inclusion residual, the distance of ``f - L phi`` to the interval."""
     target = f - apply(opr, phi)
-    pinned = (s & 1).astype(bool)
-    value = _horner(beta, s >> 1, phi)   # >> 1 and & 1: // 2 and % 2
-    row = (s + 1) >> 1
-    lo = np.where(pinned, lo_at[row], value)
-    hi = np.where(pinned, hi_at[row], value)
+    lo, hi = density.interval(phi, s)
     resid = np.maximum(np.maximum(lo - target, target - hi), 0.0)
     return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
@@ -285,29 +257,28 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     ``xi`` lies above (below) its interval is released to the right
     (left).  Each step solves the linearisation on the free nodes by one
     CG run to a loose tolerance (Eisenstat and Walker): 0.01 on the first
-    step, ``max(min(0.1, min(rn / rn0, 1) ** 2), 1e-13)`` on later ones
+    step, ``max(min(0.1, min(rn / rn0, 1) ** 2), EXACT_TOL)`` on later ones
     (``rn0``: the starting residual norm).  The first step keeps 0.01: at
     0.1, solves that take two steps took a third.  On meeting it, the run
-    continues to 1e-13 only if the step it has reached would finish the
-    solve, with no node changing state after it: every free node stays
+    continues to ``EXACT_TOL`` only if the step it has reached would finish
+    the solve, with no node changing state after it: every free node stays
     inside its piece, and every node still pinned has its required
     ``f - L(phi + dx)`` inside its interval.  A nonmonotone line search
     (Grippo, Lampariello and Lucidi) takes the first ``alpha`` of 1, 1/2,
     ..., 2**-10 whose residual norm is at most ``(1 - 1e-4 alpha)`` times
     the largest of the last ``WINDOW`` iterates', else the full step.  A
     state repeating at no smaller residual ends the loop ``cycled`` once
-    ``WINDOW`` steps have passed without a new best.  The residual at each
-    trial point is read from its state, so ``searchsorted`` runs only on the
-    starting ``phi``.  Reports the best iterate, without certificates; the
-    last trace entry names the reason the loop stopped.
+    ``WINDOW`` steps have passed without a new best.  A trial point's
+    residual reads its intervals from its states, so states are located
+    only at the starting ``phi``.  Reports the best iterate, without
+    certificates; the last trace entry names the reason the loop stopped.
     """
     density = sp.density
-    bp = density.breakpoints
-    ends = np.concatenate(([-np.inf], bp, [np.inf]))  # piece p: ends[p:p+2]
+    # piece p lies between ends[p] and ends[p + 1]
+    ends = np.concatenate(([-np.inf], density.breakpoints, [np.inf]))
     K, kappa, mu = opr.stiffness, opr.graph.kappa, opr.graph.mu
-    n, limits = len(phi), _limits(density)
-    s = _state(bp, phi)
-    m = _measure(opr, limits, phi, s, f)
+    n, s = len(phi), density.state(phi)
+    m = _measure(opr, density, phi, f, s)
     best, seen, trace, rn0 = (phi, *m), {}, [], m[0]
     recent = deque(maxlen=WINDOW)
     steps = solves = iters = backtracks = best_step = 0
@@ -359,16 +330,16 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
 
         # clamped before squaring: a Python float square can overflow
         eta = max(min(0.1 if steps > 1 else 0.01, min(rn / rn0, 1.0) ** 2),
-                  1e-13)
-        more = None if eta <= 1e-13 else (1e-13, finishing)
-        dx, _, iters = _pcg(Kf, diag, -r, eta, 4 * len(free) + 200, more)
+                  EXACT_TOL)
+        accept = None if eta <= EXACT_TOL else finishing
+        dx, _, iters = _pcg(Kf, diag, -r, eta, 4 * len(free) + 200, accept)
 
         def move(alpha):
             step = x + alpha * dx
             trial, ts = phi.copy(), s.copy()
             trial[free] = np.clip(step, left, right)
             ts[free] += (step >= right).astype(int) - (step <= left)
-            return trial, ts, _measure(opr, limits, trial, ts, f)
+            return trial, ts, _measure(opr, density, trial, f, ts)
 
         recent.append(rn)
         ref = max(recent)

@@ -96,11 +96,20 @@ class PiecewiseDensity:
     def _beta_prime(self) -> np.ndarray:
         return _table([_der(c) for c in self.pieces])
 
+    @cached_property
+    def _pinned(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry ``k + 1``: the interval ``(lo, hi)`` at breakpoint k; first
+        and last: at -inf and +inf, where an overflowing solver step ends."""
+        ends = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
+        with np.errstate(invalid="ignore"):   # inf * 0 at the infinite ends
+            left, right = self._limits(ends)
+        return np.minimum(left, right), np.maximum(left, right)
+
     def _limits(self, x: np.ndarray, table=None) -> np.ndarray:
         """Left and right limits of beta (or of the pieces of ``table``)
         stacked as a ``(2, *x.shape)`` array."""
         bp = self.breakpoints
-        idx = np.stack((np.searchsorted(bp, x, side="left"),
+        idx = np.array((np.searchsorted(bp, x, side="left"),
                         np.searchsorted(bp, x, side="right")))
         return _horner(self._beta if table is None else table, idx, x)
 
@@ -120,6 +129,24 @@ class PiecewiseDensity:
         """Right-continuous derivative of the density, or of piece ``piece``."""
         x, piece = self._piece(x, piece)
         return _horner(self._beta_prime, piece, x)
+
+    def state(self, x) -> np.ndarray:
+        """``2p`` inside piece p, ``2k + 1`` at breakpoint k."""
+        x, bp = np.asarray(x, dtype=float), self.breakpoints
+        return (np.searchsorted(bp, x, side="left")
+                + np.searchsorted(bp, x, side="right"))
+
+    def interval(self, x, s=None) -> tuple[np.ndarray, np.ndarray]:
+        """Clarke interval ``(lo, hi)`` at ``x`` in states ``s`` (default
+        ``state(x)``); at breakpoint k, its limits taken at the breakpoint."""
+        x = np.asarray(x, dtype=float)
+        if s is None:
+            s = self.state(x)
+        lo_at, hi_at = self._pinned
+        pinned, row = (s & 1).astype(bool), (s + 1) >> 1
+        value = _horner(self._beta, s >> 1, x)   # >> 1 and & 1: // 2 and % 2
+        return (np.where(pinned, lo_at[row], value),
+                np.where(pinned, hi_at[row], value))
 
     def one_sided(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Left and right limits at each point (equal off breakpoints)."""
@@ -170,8 +197,7 @@ class Superpotential:
 
     def interval(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Filled-in subdifferential as (lo, hi) arrays."""
-        left, right = self.density.one_sided(x)
-        return np.minimum(left, right), np.maximum(left, right)
+        return self.density.interval(x)
 
     def directional(self, s, d) -> np.ndarray:
         """Generalized directional derivative max(lo*d, hi*d), elementwise."""

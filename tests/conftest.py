@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 import graphhvi as gh
 
@@ -60,3 +61,30 @@ def down_jump_density(b=0.5, left=0.3, right=0.0, slope=0.1):
 
 def zero_density():
     return gh.build(gh.PiecewiseDensity((), (np.array([0.0]),)))
+
+
+def per_piece(pieces, bp, x, side, order=0):
+    """Reference: ``P.polyval`` on each piece under a mask (the evaluator
+    the coefficient tables replaced)."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(bp, x, side=side)
+    out = np.empty(x.shape)
+    for i, c in enumerate(pieces):
+        mask = idx == i
+        if mask.any():
+            cc = P.polyder(c, order) if order else c
+            out[mask] = P.polyval(x[mask], cc)
+    return out
+
+
+def clarke_interval(density, x):
+    """Reference Clarke interval ``(lo, hi)``: the min and max of the left
+    and right limits by ``per_piece``.  A point on a breakpoint reads the
+    limits at the breakpoint itself, so -0.0 on a breakpoint 0.0 is 0.0."""
+    x = np.asarray(x, dtype=float)
+    bp, pieces = density.breakpoints, density.pieces
+    b = np.append(bp, np.nan)[np.searchsorted(bp, x)]  # NaN past the end
+    at = np.where(b == x, b, x)
+    left = per_piece(pieces, bp, at, "left")
+    right = per_piece(pieces, bp, at, "right")
+    return np.minimum(left, right), np.maximum(left, right)

@@ -265,7 +265,7 @@ class TestPCG:
                 return True
 
             loose = _pcg(A, d, rhs, 1e-2, 500)
-            out = _pcg(A, d, rhs, 1e-2, 500, (1e-13, accept))
+            out = _pcg(A, d, rhs, 1e-2, 500, accept)
             one = _pcg(A, d, rhs, 1e-13, 500)
             assert 1e-13 < loose[1] <= 1e-2 and one[1] <= 1e-13
             assert len(seen) == 1   # asked once, at the loose solution
@@ -279,12 +279,12 @@ class TestPCG:
             seen = []
             loose = _pcg(A, d, rhs, 1e-2, 1000)
             out = _pcg(A, d, rhs, 1e-2, 1000,
-                       (1e-13, lambda x: seen.append(x) or False))
+                       lambda x: seen.append(x) or False)
             assert len(seen) == 1
             assert out[0].tobytes() == loose[0].tobytes()
             assert out[1:] == loose[1:]
             # a run the cap stops before the first tolerance is not asked
-            capped = _pcg(A, d, rhs, 1e-2, 1, (1e-13, seen.append))
+            capped = _pcg(A, d, rhs, 1e-2, 1, seen.append)
             assert len(seen) == 1 and capped[1] > 1e-2 and capped[2] == 1
 
     def test_extreme_right_hand_sides(self):

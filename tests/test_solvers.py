@@ -19,11 +19,12 @@ from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
                               hvi_residual, solve_elliptic, solve_parabolic,
                               sum_directional_bound, sum_functional,
                               verify_inclusion)
-from graphhvi.solvers import _limits, _measure, _state
+from graphhvi.operators import EXACT_TOL
+from graphhvi.solvers import _measure
 from graphhvi.superpotential import PiecewiseDensity, build
 
-from conftest import (abs_density, down_jump_density, make_random_graph,
-                      quad_density, zero_density)
+from conftest import (abs_density, clarke_interval, down_jump_density,
+                      make_random_graph, quad_density, zero_density)
 
 
 def single_node(mu=1.0, kappa=1.0):
@@ -267,8 +268,8 @@ class TestInexactNewton:
         # (279) to 1e-13, though pinned nodes were released after them
         calls = []
 
-        def recording(A, d, rhs, tol, max_iter, more=None):
-            out = pcg(A, d, rhs, tol, max_iter, more)
+        def recording(A, d, rhs, tol, max_iter, accept=None):
+            out = pcg(A, d, rhs, tol, max_iter, accept)
             calls.append((tol, out[1], out[2]))
             return out
 
@@ -278,8 +279,8 @@ class TestInexactNewton:
                              SolverOptions(with_certificates=False))
         assert rep.converged
         assert all(rel <= tol for tol, rel, _ in calls)
-        # a run that stops at its loose tolerance ends above 1e-13
-        exact = [rel <= 1e-13 < tol for tol, rel, _ in calls]
+        # a run that stops at its loose tolerance ends above EXACT_TOL
+        exact = [rel <= EXACT_TOL < tol for tol, rel, _ in calls]
         assert exact == [False] * (len(calls) - 1) + [True]
         assert sum(iters for *_, iters in calls) <= most
 
@@ -327,19 +328,19 @@ def bitwise_equal(a, b) -> bool:
 
 class TestStateResidual:
     """The residual at a trial point reads each node's interval from its
-    state; it must equal the ``searchsorted`` path of
-    ``Superpotential.interval`` byte for byte, NaN included."""
+    state; it must equal the per-piece ``P.polyval`` reference of
+    ``conftest.clarke_interval`` byte for byte, NaN included."""
 
     @staticmethod
-    def by_search(opr, sp, phi, f):
+    def reference(opr, sp, phi, f):
         target = f - apply(opr, phi)
-        lo, hi = sp.interval(phi)
+        lo, hi = clarke_interval(sp.density, phi)
         resid = np.maximum(np.maximum(lo - target, target - hi), 0.0)
         return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
     def check(self, opr, sp, phi, s, f):
-        got = _measure(opr, _limits(sp.density), phi, s, f)
-        for a, b in zip(got, self.by_search(opr, sp, phi, f)):
+        got = _measure(opr, sp.density, phi, f, s)
+        for a, b in zip(got, self.reference(opr, sp, phi, f)):
             assert bitwise_equal(a, b)
 
     @staticmethod
@@ -347,9 +348,9 @@ class TestStateResidual:
         """The solve's report and the ``(phi, s)`` of every residual."""
         calls = []
 
-        def recording(opr, limits, phi, s, f):
+        def recording(opr, density, phi, f, s):
             calls.append((opr, phi.copy(), s.copy(), f))
-            return _measure(opr, limits, phi, s, f)
+            return _measure(opr, density, phi, f, s)
 
         monkeypatch.setattr(graphhvi.solvers, "_measure", recording)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -366,9 +367,8 @@ class TestStateResidual:
             assert rep.converged
             calls += more
         assert len(calls) > 50
-        bp = base.sp.density.breakpoints
         for opr, phi, s, f in calls:
-            assert np.array_equal(s, _state(bp, phi))
+            assert np.array_equal(s, base.sp.density.state(phi))
             self.check(opr, base.sp, phi, s, f)
 
     def test_on_breakpoints(self):
@@ -380,11 +380,21 @@ class TestStateResidual:
         opr = assemble(g)
         for _ in range(5):
             phi = rng.choice(values, g.num_nodes)
-            s = _state(bp, phi)
+            s = sp.density.state(phi)
             assert 0 < np.sum(s % 2) < g.num_nodes
             self.check(opr, sp, phi, s, problem.f)
             assert bitwise_equal(verify_inclusion(g, sp, phi, problem.f),
-                                 self.by_search(opr, sp, phi, problem.f)[-1])
+                                 self.reference(opr, sp, phi, problem.f)[-1])
+
+    def test_signed_zero_on_a_breakpoint(self):
+        # phi = -0.0 on the breakpoint 0.0: the left limit there is
+        # -0.0 + 1.0 * 0.0 = 0.0, though the left piece at -0.0 is -0.0
+        sp = build(PiecewiseDensity((0.0,), ([-0.0, 1.0], [1.0, 1.0])))
+        phi = np.array([-0.0])
+        lo = _measure(assemble(single_node()), sp.density, phi,
+                      np.array([0.5]), sp.density.state(phi))[2]
+        assert bitwise_equal(lo, [0.0])
+        assert bitwise_equal(sp.interval(phi)[0], lo)
 
     @pytest.mark.parametrize("load", [1e300, -1e300])
     def test_step_overflowing_on_an_unbounded_piece(self, monkeypatch, load):
@@ -399,7 +409,7 @@ class TestStateResidual:
         with np.errstate(invalid="ignore"):   # inf * 0 in the polynomials
             for opr, phi, s, f in calls:
                 self.check(opr, problem.sp, phi, s, f)
-            want = self.by_search(opr, problem.sp, phi, f)[0]
+            want = self.reference(opr, problem.sp, phi, f)[0]
         last = rep.iterations[-1]
         assert last["reason"] == "non-finite" and not rep.converged
         assert bitwise_equal(last["residual_norm"], want)
@@ -633,6 +643,16 @@ class TestParabolic:
                              phi0=np.zeros(1), T=1e-320, steps=4)
         ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
                          phi0=np.zeros(1), T=1e-300, steps=4)
+        # a non-integer steps escaped from numpy as a TypeError
+        for steps in (2.5, 3.0, np.float64(3.0), True, np.True_):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
+                                 phi0=np.zeros(1), T=1.0, steps=steps)
+        for steps in (3, np.int64(3), np.int32(3), np.uint8(3)):
+            res = solve_parabolic(ParabolicProblem(
+                graph=g, sp=quad_density(), f=np.zeros(1), phi0=np.ones(1),
+                T=1.0, steps=steps))
+            assert res.converged and res.states.shape == (4, 1)
         # the trajectory of 10**17 steps cannot be allocated
         with pytest.raises(ValueError, match="steps"):
             solve_parabolic(ParabolicProblem(

@@ -14,7 +14,8 @@ from graphhvi.superpotential import (PiecewiseDensity, _antider, _der,
                                      mollify, relaxed_monotonicity_constant,
                                      schedule_from_document)
 
-from conftest import abs_density, down_jump_density, quad_density
+from conftest import (abs_density, clarke_interval, down_jump_density,
+                      per_piece, quad_density)
 
 
 class TestPiecewiseDensity:
@@ -51,20 +52,6 @@ class TestPiecewiseDensity:
         assert abs_density().density.min_breakpoint_gap() == math.inf
 
 
-def _per_piece(pieces, bp, x, side, order=0):
-    """Reference: ``P.polyval`` on each piece under a mask (the evaluator
-    the coefficient tables replaced)."""
-    x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(bp, x, side=side)
-    out = np.empty(x.shape)
-    for i, c in enumerate(pieces):
-        mask = idx == i
-        if mask.any():
-            cc = P.polyder(c, order) if order else c
-            out[mask] = P.polyval(x[mask], cc)
-    return out
-
-
 def _identical(a, b):
     return (isinstance(a, np.ndarray) and a.shape == b.shape
             and a.dtype == b.dtype and a.tobytes() == b.tobytes())
@@ -87,22 +74,28 @@ def densities_and_points(draw):
 class TestTableEvaluator:
     @settings(deadline=None, max_examples=300)
     @given(densities_and_points())
+    # -0.0 on the breakpoint 0.0: the left limit there is -0.0 + 1.0 * 0.0
+    # = 0.0, though the left piece's value at -0.0 is -0.0
+    @example((PiecewiseDensity((0.0,), ([-0.0, 1.0], [1.0, 1.0])),
+              np.array([-0.0, 0.0])))
     @np.errstate(invalid="ignore")  # inf * 0 on both sides
     def test_bit_identical_to_per_piece(self, case):
         d, x = case
         bp, pieces = d.breakpoints, d.pieces
-        assert _identical(d.value(x), _per_piece(pieces, bp, x, "right"))
+        assert _identical(d.value(x), per_piece(pieces, bp, x, "right"))
         assert _identical(d.derivative(x),
-                          _per_piece(pieces, bp, x, "right", order=1))
+                          per_piece(pieces, bp, x, "right", order=1))
         left, right = d.one_sided(x)
-        assert _identical(left, _per_piece(pieces, bp, x, "left"))
-        assert _identical(right, _per_piece(pieces, bp, x, "right"))
+        assert _identical(left, per_piece(pieces, bp, x, "left"))
+        assert _identical(right, per_piece(pieces, bp, x, "right"))
         sp = build(d)
         assert _identical(sp.value(x),
-                          _per_piece(sp.antiderivative, bp, x, "right"))
+                          per_piece(sp.antiderivative, bp, x, "right"))
+        for got, want in zip(sp.interval(x), clarke_interval(d, x)):
+            assert _identical(got, want)
         jumps = [(b, lo, hi) for b, lo, hi
-                 in zip(bp, _per_piece(pieces, bp, bp, "left"),
-                        _per_piece(pieces, bp, bp, "right")) if lo != hi]
+                 in zip(bp, per_piece(pieces, bp, bp, "left"),
+                        per_piece(pieces, bp, bp, "right")) if lo != hi]
         assert d.jumps() == jumps
 
     @pytest.mark.parametrize("x", [np.float64(0.25), -1.5,
@@ -110,14 +103,15 @@ class TestTableEvaluator:
     def test_shape_kept(self, x):
         sp = down_jump_density()
         d, bp = sp.density, sp.density.breakpoints
-        ref = _per_piece(d.pieces, bp, x, "right")
+        ref = per_piece(d.pieces, bp, x, "right")
         assert _identical(d.value(x), ref)
         assert _identical(d.derivative(x),
-                          _per_piece(d.pieces, bp, x, "right", order=1))
-        assert _identical(d.one_sided(x)[0], _per_piece(d.pieces, bp, x,
+                          per_piece(d.pieces, bp, x, "right", order=1))
+        assert _identical(d.one_sided(x)[0], per_piece(d.pieces, bp, x,
                                                         "left"))
+        assert _identical(sp.interval(x)[1], clarke_interval(d, x)[1])
         assert _identical(sp.value(x),
-                          _per_piece(sp.antiderivative, bp, x, "right"))
+                          per_piece(sp.antiderivative, bp, x, "right"))
 
 
 class TestAntiderivative:
