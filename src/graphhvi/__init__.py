@@ -4,9 +4,8 @@ from .calculus import (EmbeddingDiagnostics, SobolevNormReport, difference,
                        embedding_diagnostics, inner_product_nodes,
                        lp_norm_edges, lp_norm_nodes, sobolev_norms,
                        w_hilbert_norm)
-from .graphs import (DegreeRecord, GraphFormatError, NodeTable,
-                     WeightedGraph, ball, degrees, from_data, load_graph,
-                     node_function, volume)
+from .graphs import (GraphFormatError, NodeTable, WeightedGraph, ball,
+                     degrees, from_data, load_graph, node_function, volume)
 from .operators import (AssembledOperator, LinearSolveError,
                         OperatorConstants, apply, assemble, bilinear_form,
                         constants, solve_spd)

@@ -131,8 +131,10 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 def cmd_solve_elliptic(args) -> tuple[dict, int]:
     g, sp, f, _, opts = load_problem(args.problem, args.tol)
-    rep = solvers.solve_elliptic(solvers.EllipticProblem(g, sp, f), opts)
-    return reports.solve_report_dict(g, rep), 0 if rep.converged else 1
+    problem = solvers.EllipticProblem(g, sp, f)
+    rep = solvers.solve_elliptic(problem, opts)
+    return (reports.solve_report_dict(g, rep, solvers.certify(problem)),
+            0 if rep.converged else 1)
 
 
 def cmd_solve_parabolic(args) -> tuple[dict, int]:

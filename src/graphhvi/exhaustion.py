@@ -247,8 +247,8 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     for i, (r, g) in enumerate(zip(radii, graphs)):
         m = len(prev_phi)   # the previous level's nodes come first
         warm = np.concatenate([prev_phi, np.zeros(g.num_nodes - m)])
-        opts = SolverOptions(initial=warm, with_certificates=False)
-        rep = solve_elliptic(EllipticProblem(g, sp, f[:g.num_nodes]), opts)
+        rep = solve_elliptic(EllipticProblem(g, sp, f[:g.num_nodes]),
+                             SolverOptions(initial=warm))
         if i:
             diff = rep.phi[:m] - prev_phi
             increments.append(sobolev_norms(graphs[i - 1], diff).w_hilbert)

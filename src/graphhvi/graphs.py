@@ -256,19 +256,10 @@ class NodeTable(Mapping):
         return self.graph.num_nodes
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
-    deg_out: float
-    deg_in: float
-    deg: float
-
-
-def degrees(g: WeightedGraph) -> dict[str, DegreeRecord]:
-    """Rho-weighted out/in/total degree of every node."""
-    out = np.bincount(g.edge_src, g.rho, g.num_nodes)   # in edge order
-    inn = np.bincount(g.edge_dst, g.rho, g.num_nodes)
-    return {v: DegreeRecord(float(out[i]), float(inn[i]), float(out[i] + inn[i]))
-            for i, v in enumerate(g.nodes)}
+def degrees(g: WeightedGraph) -> np.ndarray:
+    """Rho-weighted degree of every node, in node order: out and in alike,
+    since each adjacency comes in both orientations with one rho."""
+    return np.bincount(g.edge_src, g.rho, g.num_nodes)
 
 
 def distances_from(g: WeightedGraph, center: str) -> np.ndarray:

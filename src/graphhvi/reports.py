@@ -18,7 +18,7 @@ import numpy as np
 
 from .graphs import NodeTable, WeightedGraph, degrees, volume
 from .operators import constants
-from .solvers import ParabolicResult, SolveReport
+from .solvers import Certificate, ParabolicResult, SolveReport
 
 SCHEMA_VERSION = 1   # cli.main stamps it as every report's first key
 
@@ -71,7 +71,8 @@ def render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
+def solve_report_dict(g: WeightedGraph, rep: SolveReport,
+                      certificates: list[Certificate]) -> dict:
     return {
         "converged": rep.converged,
         "residual_norm": rep.residual_norm,
@@ -80,7 +81,7 @@ def solve_report_dict(g: WeightedGraph, rep: SolveReport) -> dict:
         "residual": NodeTable(g, rep.inclusion_residual),
         "norms": asdict(rep.norms),
         "constants": asdict(rep.constants),
-        "certificates": [asdict(c) for c in rep.certificates],
+        "certificates": [asdict(c) for c in certificates],
         "trace": [dict(t) for t in rep.iterations],
     }
 
@@ -101,7 +102,7 @@ def validate_report_dict(g: WeightedGraph) -> dict:
         "num_directed_edges": g.num_edges,
         "mu_total": g.mu_total,
         "volume_rho": volume(g),
-        "degrees": {v: asdict(d) for v, d in degrees(g).items()},
+        "degrees": NodeTable(g, degrees(g)),
         "constants": asdict(constants(g)),
     }
 

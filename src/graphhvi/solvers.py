@@ -105,9 +105,8 @@ class SolveReport:
     residual_norm: float
     converged: bool
     iterations: list[dict]
-    certificates: list[Certificate]
-    norms: SobolevNormReport
     constants: OperatorConstants
+    norms: SobolevNormReport | None = None   # set by solve_elliptic only
 
 
 @dataclass
@@ -123,7 +122,6 @@ class SolverOptions:
     tol: float = 1e-8
     max_inner: int = 200          # cap on active-set steps
     initial: np.ndarray | None = None
-    with_certificates: bool = True
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:  # also rejects NaN
@@ -271,7 +269,7 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     ``WINDOW`` steps have passed without a new best.  A trial point's
     residual reads its intervals from its states, so states are located
     only at the starting ``phi``.  Reports the best iterate, without
-    certificates; the last trace entry names the reason the loop stopped.
+    norms; the last trace entry names the reason the loop stopped.
     """
     density = sp.density
     # piece p lies between ends[p] and ends[p + 1]
@@ -357,12 +355,12 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     return SolveReport(
         phi=phi, xi=np.clip(target, lo, hi), inclusion_residual=resid,
         residual_norm=rn, converged=rn <= opts.tol, iterations=trace,
-        certificates=[], norms=sobolev_norms(opr.graph, phi), constants=c)
+        constants=c)
 
 
 def solve_elliptic(problem: EllipticProblem,
                    options: SolverOptions | None = None) -> SolveReport:
-    """Solve the elliptic inclusion and certify the result.
+    """Solve the elliptic inclusion; the report carries the solution's norms.
 
     Returns the best iterate with ``converged=False`` when the inclusion
     residual norm cannot be pushed below ``options.tol``; the last trace
@@ -373,8 +371,7 @@ def solve_elliptic(problem: EllipticProblem,
     phi = (np.zeros(g.num_nodes) if opts.initial is None
            else _check_nodes(g, opts.initial).copy())
     rep = _solve(assemble(g), problem.sp, problem.f, phi, opts, constants(g))
-    if opts.with_certificates:
-        rep.certificates = certify(problem)
+    rep.norms = sobolev_norms(g, rep.phi)
     return rep
 
 

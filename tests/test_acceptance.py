@@ -272,7 +272,7 @@ def _nonconvex_instances(rng, count=10):
 def test_criterion_06_brute_force_existence():
     start = time.perf_counter()
     rng = np.random.default_rng(6)
-    opts = SolverOptions(tol=1e-11, with_certificates=False)
+    opts = SolverOptions(tol=1e-11)
     worst_solver = 0.0
     worst_witness = 0.0
     for g, sp, f in _nonconvex_instances(rng):
@@ -331,7 +331,7 @@ def test_criterion_07_uniqueness():
         g = problem.graph
         solutions = []
         for _ in range(10):
-            opts = SolverOptions(tol=1e-11, with_certificates=False,
+            opts = SolverOptions(tol=1e-11,
                                  initial=rng.uniform(-5, 5, g.num_nodes))
             rep = solve_elliptic(problem, opts)
             assert rep.converged

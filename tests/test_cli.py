@@ -690,6 +690,28 @@ def test_one_load_and_one_render_per_operation(workspace, capsys,
     assert calls == {"load": 2, "render": 2}
 
 
+@pytest.mark.parametrize("command, certified", [("solve-elliptic", 1),
+                                                ("exhaust", 0)])
+def test_certify_only_for_a_report_that_prints_it(workspace, capsys,
+                                                  monkeypatch, command,
+                                                  certified):
+    """``solve-elliptic`` certifies its problem once, through
+    ``graphhvi.solvers.certify`` (the benchmark's ``solvers.certify`` span);
+    ``exhaust`` reports no certificate and computes none."""
+    certify, calls = graphhvi.solvers.certify, []
+
+    def counting(problem):
+        calls.append(problem)
+        return certify(problem)
+
+    monkeypatch.setattr(graphhvi.solvers, "certify", counting)
+    code, out, _ = run([command, *TestEntryPoint.argv(workspace, command)],
+                       capsys)
+    assert code == 0
+    assert len(calls) == certified
+    assert ("certificates" in json.loads(out)) == bool(certified)
+
+
 class TestEntryPoint:
     @staticmethod
     def argv(workspace, command):
@@ -763,8 +785,7 @@ class TestEntryPoint:
         proc = run_module("validate", "--graph", str(tmp_path / "graph.json"),
                           env=ASCII_LOCALE)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert json.loads(proc.stdout)["degrees"] == {
-            "\u00e9": {"deg_out": 0.0, "deg_in": 0.0, "deg": 0.0}}
+        assert json.loads(proc.stdout)["degrees"] == {"\u00e9": 0.0}
         out = tmp_path / "report.txt"
         proc = run_module("solve-elliptic", "--problem",
                           str(tmp_path / "problem.json"), "--format", "human",

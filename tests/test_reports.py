@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import graphhvi as gh
 from graphhvi import reports
 from graphhvi.graphs import NodeTable, WeightedGraph
-from graphhvi.solvers import EllipticProblem, solve_elliptic
+from graphhvi.solvers import EllipticProblem, certify, solve_elliptic
 
 from conftest import abs_density, make_random_graph
 
@@ -189,14 +189,15 @@ class TestReportDicts:
         assert doc["num_directed_edges"] == 2
         assert doc["mu_total"] == 3.0
         assert doc["volume_rho"] == 8.0
-        assert doc["degrees"]["a"]["deg"] == 8.0
+        assert dict(doc["degrees"]) == {"a": 4.0, "b": 4.0}
         assert doc["constants"]["m_coercive"] == 0.5
 
     def test_solve_report_dict_keys(self):
         g = make_random_graph(np.random.default_rng(20), max_nodes=8)
         f = np.random.default_rng(21).uniform(-1, 1, g.num_nodes)
-        rep = solve_elliptic(EllipticProblem(g, abs_density(0.2), f))
-        doc = reports.solve_report_dict(g, rep)
+        problem = EllipticProblem(g, abs_density(0.2), f)
+        doc = reports.solve_report_dict(g, solve_elliptic(problem),
+                                        certify(problem))
         # the CLI stamps "schema_version" on every report, not the builder
         assert set(doc) == {"converged", "residual_norm", "solution", "xi",
                             "residual", "norms", "constants", "certificates",
@@ -209,8 +210,9 @@ class TestReportDicts:
         f = np.random.default_rng(23).uniform(-1, 1, g.num_nodes)
         docs = []
         for _ in range(2):
-            rep = solve_elliptic(EllipticProblem(g, abs_density(0.2), f))
-            docs.append(reports.render_json(reports.solve_report_dict(g, rep)))
+            problem = EllipticProblem(g, abs_density(0.2), f)
+            docs.append(reports.render_json(reports.solve_report_dict(
+                g, solve_elliptic(problem), certify(problem))))
         assert docs[0] == docs[1]
 
 

@@ -232,7 +232,7 @@ class TestInexactNewton:
         # the weights times 4**10 leave L unchanged and scale the
         # mu-weighted residual norm by exactly 2**10, and so the tolerance
         runs = [solve_elliptic(self.lattice_problem(spec, c),
-                               SolverOptions(tol=t, with_certificates=False))
+                               SolverOptions(tol=t))
                 for c, t in ((1.0, 1e-8), (4.0 ** 10, 1e-8 * 2.0 ** 10))]
         steps = [[(t["inner_steps"], t["linear_iters"], t["backtracks"],
                    t["active"]) for t in rep.iterations] for rep in runs]
@@ -275,8 +275,7 @@ class TestInexactNewton:
 
         pcg = graphhvi.solvers._pcg
         monkeypatch.setattr(graphhvi.solvers, "_pcg", recording)
-        rep = solve_elliptic(self.lattice_problem(spec),
-                             SolverOptions(with_certificates=False))
+        rep = solve_elliptic(self.lattice_problem(spec))
         assert rep.converged
         assert all(rel <= tol for tol, rel, _ in calls)
         # a run that stops at its loose tolerance ends above EXACT_TOL
@@ -354,8 +353,7 @@ class TestStateResidual:
 
         monkeypatch.setattr(graphhvi.solvers, "_measure", recording)
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = solve_elliptic(problem,
-                                 SolverOptions(with_certificates=False))
+            rep = solve_elliptic(problem)
         return rep, calls
 
     def test_every_trial_of_a_nonconvex_solve(self, monkeypatch):
@@ -437,8 +435,7 @@ class TestConvexSweep:
 
     def check(self, g, spec, f):
         rep = solve_elliptic(EllipticProblem(g, density(spec), f),
-                             SolverOptions(tol=self.TOL,
-                                           with_certificates=False))
+                             SolverOptions(tol=self.TOL))
         assert rep.converged
         assert oracle_residual(g, spec, rep.phi, f) <= self.TOL * 1.001
 
@@ -509,16 +506,6 @@ class TestCertificates:
         assert not existence.satisfied
         assert not uniqueness.satisfied
 
-    def test_report_carries_certificates(self):
-        rep = solve_elliptic(EllipticProblem(single_node(), quad_density(0.1),
-                                             np.array([0.5])))
-        assert len(rep.certificates) == 2
-        rep2 = solve_elliptic(
-            EllipticProblem(single_node(), quad_density(0.1),
-                            np.array([0.5])),
-            SolverOptions(with_certificates=False))
-        assert rep2.certificates == []
-
 
 def enumerate_solutions(g, bps, pieces, f, tol=1e-9):
     """Every solution of the inclusion for the piecewise-linear density with
@@ -582,7 +569,8 @@ class TestEnumerationOracle:
         for i in range(300):
             g, bps, pieces, f = self.draw(rng, mild=i % 2 == 1)
             sp = build(PiecewiseDensity(bps, tuple(pieces)))
-            rep = solve_elliptic(EllipticProblem(g, sp, f))
+            problem = EllipticProblem(g, sp, f)
+            rep = solve_elliptic(problem)
             found = enumerate_solutions(g, bps, pieces, f)
             if rep.converged:
                 assert any(np.allclose(rep.phi, x, rtol=0, atol=1e-6)
@@ -592,7 +580,7 @@ class TestEnumerationOracle:
                 # nondecreasing density, kappa > 0: one solution, found
                 counts["monotone"] += 1
                 assert rep.converged and len(found) == 1
-            if rep.certificates[1].satisfied:
+            if certify(problem)[1].satisfied:
                 counts["certified"] += 1
                 assert len(found) == 1
             counts["several"] += len(found) > 1
@@ -698,6 +686,26 @@ class TestParabolic:
         assert res.converged and len(res.reports) == 8
         assert len(calls) == 1
 
+    def test_norms_only_for_the_elliptic_report(self, monkeypatch):
+        # no report reads a time step's norms, so none are computed
+        norms, calls = graphhvi.solvers.sobolev_norms, []
+
+        def counting(g, phi):
+            calls.append(phi.copy())
+            return norms(g, phi)
+
+        monkeypatch.setattr(graphhvi.solvers, "sobolev_norms", counting)
+        g = make_random_graph(np.random.default_rng(8), max_nodes=10)
+        f = np.random.default_rng(9).uniform(-1.0, 1.0, g.num_nodes)
+        res = solve_parabolic(ParabolicProblem(
+            graph=g, sp=abs_density(0.2), f=f, phi0=np.zeros(g.num_nodes),
+            T=1.0, steps=4))
+        assert res.converged and len(res.reports) == 4
+        assert calls == [] and all(r.norms is None for r in res.reports)
+        rep = solve_elliptic(EllipticProblem(g, abs_density(0.2), f))
+        assert len(calls) == 1 and calls[0].tobytes() == rep.phi.tobytes()
+        assert rep.norms == norms(g, rep.phi)
+
 
 def stepped_reference(problem, opts):
     """Implicit Euler by hand: one public elliptic solve per step on the
@@ -712,7 +720,7 @@ def stepped_reference(problem, opts):
         rep = solve_elliptic(
             EllipticProblem(g_eff, problem.sp_at(times[k]),
                             problem.f[k - 1] + prev / tau),
-            dataclasses.replace(opts, initial=prev, with_certificates=False))
+            dataclasses.replace(opts, initial=prev))
         reports.append(rep)
         states.append(rep.phi)
         if not rep.converged:
