@@ -261,7 +261,11 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     continues to ``EXACT_TOL`` only if the step it has reached would finish
     the solve, with no node changing state after it: every free node stays
     inside its piece, and every node still pinned has its required
-    ``f - L(phi + dx)`` inside its interval.  A nonmonotone line search
+    ``f - L(phi + dx)`` inside its interval.  Where ``kappa + mu beta'`` is
+    not positive, the linearisation can be indefinite: if the run then
+    ends above ``max(eta, 1e-10)`` or with a non-finite step, it is run
+    again with ``kappa`` in those entries (a Levenberg shift).  A
+    nonmonotone line search
     (Grippo, Lampariello and Lucidi) takes the first ``alpha`` of 1, 1/2,
     ..., 2**-10 whose residual norm is at most ``(1 - 1e-4 alpha)`` times
     the largest of the last ``WINDOW`` iterates', else the full step.  A
@@ -311,7 +315,6 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         x = phi[free]
         r = mu[free] * (density.value(x, piece) - target[free])
         diag = kappa[free] + mu[free] * density.derivative(x, piece)
-        diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
         Kf = K if len(free) == n else K[free][:, free]
         left, right = ends[piece], ends[piece + 1]
 
@@ -330,7 +333,13 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         eta = max(min(0.1 if steps > 1 else 0.01, min(rn / rn0, 1.0) ** 2),
                   EXACT_TOL)
         accept = None if eta <= EXACT_TOL else finishing
-        dx, _, iters = _pcg(Kf, diag, -r, eta, 4 * len(free) + 200, accept)
+        cap = 4 * len(free) + 200
+        dx, rel, iters = _pcg(Kf, diag, -r, eta, cap, accept)
+        shifted = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
+        if ((rel > max(eta, 1e-10) or not np.all(np.isfinite(dx)))
+                and np.any(shifted != diag)):
+            dx, _, more = _pcg(Kf, shifted, -r, eta, cap, accept)
+            iters += more
 
         def move(alpha):
             step = x + alpha * dx
