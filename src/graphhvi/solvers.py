@@ -62,6 +62,8 @@ class ParabolicProblem:
         if (isinstance(self.steps, bool)
                 or not isinstance(self.steps, numbers.Integral)):
             raise ValueError(f"steps must be an integer, not {self.steps!r}")
+        # a Python int: steps + 1 must not wrap around in a narrow type
+        object.__setattr__(self, "steps", int(self.steps))
         if not (0 < self.T < math.inf and self.steps > 0):
             raise ValueError("need finite T > 0 and steps > 0")
         object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))

@@ -605,6 +605,19 @@ class TestParabolic:
             phi = (f + phi / tau) / (1.0 / tau + 1.0 + c)
             assert res.states[k, 0] == pytest.approx(phi, abs=1e-10)
 
+    @pytest.mark.parametrize("steps", [np.uint8(255), np.int8(127)],
+                             ids=["uint8", "int8"])
+    def test_narrow_integer_steps(self, steps):
+        # steps + 1 computed in the given type wraps around to 0 in uint8
+        # and overflows in int8
+        problem = ParabolicProblem(graph=single_node(), sp=quad_density(),
+                                   f=np.array([0.5]), phi0=np.zeros(1),
+                                   T=1.0, steps=steps)
+        res = solve_parabolic(problem)
+        assert res.converged
+        assert res.states.shape == (int(steps) + 1, 1)
+        assert type(problem.steps) is int and problem.steps == int(steps)
+
     def test_f_table_and_schedule(self):
         g = single_node()
         steps = 4
