@@ -62,8 +62,7 @@ class ParabolicProblem:
         if (isinstance(self.steps, bool)
                 or not isinstance(self.steps, numbers.Integral)):
             raise ValueError(f"steps must be an integer, not {self.steps!r}")
-        # a Python int: steps + 1 must not wrap around in a narrow type
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", int(self.steps))  # numpy ints wrap
         if not (0 < self.T < math.inf and self.steps > 0):
             raise ValueError("need finite T > 0 and steps > 0")
         object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))
@@ -263,19 +262,18 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     continues to ``EXACT_TOL`` only if the step it has reached would finish
     the solve, with no node changing state after it: every free node stays
     inside its piece, and every node still pinned has its required
-    ``f - L(phi + dx)`` inside its interval.  Where ``kappa + mu beta'`` is
-    not positive, the linearisation can be indefinite: if the run then
-    ends above ``max(eta, 1e-10)`` or with a non-finite step, it is run
-    again with ``kappa`` in those entries (a Levenberg shift).  A
-    nonmonotone line search
-    (Grippo, Lampariello and Lucidi) takes the first ``alpha`` of 1, 1/2,
-    ..., 2**-10 whose residual norm is at most ``(1 - 1e-4 alpha)`` times
-    the largest of the last ``WINDOW`` iterates', else the full step.  A
-    state repeating at no smaller residual ends the loop ``cycled`` once
-    ``WINDOW`` steps have passed without a new best.  A trial point's
-    residual reads its intervals from its states, so states are located
-    only at the starting ``phi``.  Reports the best iterate, without
-    norms; the last trace entry names the reason the loop stopped.
+    ``f - L(phi + dx)`` inside its interval.  A run that misses
+    ``max(eta, 1e-10)`` or steps to a non-finite point is repeated with
+    ``kappa`` where ``kappa + mu beta'`` is not positive (a Levenberg
+    shift), if anywhere.  A nonmonotone line search (Grippo, Lampariello
+    and Lucidi) takes the first ``alpha`` of 1, 1/2, ..., 2**-10 whose
+    residual norm is at most ``(1 - 1e-4 alpha)`` times the largest of the
+    last ``WINDOW`` iterates', else the full step.  A state repeating at no
+    smaller residual ends the loop ``cycled`` once ``WINDOW`` steps have
+    passed without a new best.  A trial point's residual reads its
+    intervals from its states, so states are located only at the starting
+    ``phi``.  Reports the best iterate, without norms; the last trace entry
+    names the reason the loop stopped.
     """
     density = sp.density
     # piece p lies between ends[p] and ends[p + 1]
@@ -337,10 +335,10 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         accept = None if eta <= EXACT_TOL else finishing
         cap = 4 * len(free) + 200
         dx, rel, iters = _pcg(Kf, diag, -r, eta, cap, accept)
-        shifted = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
-        if ((rel > max(eta, 1e-10) or not np.all(np.isfinite(dx)))
-                and np.any(shifted != diag)):
-            dx, _, more = _pcg(Kf, shifted, -r, eta, cap, accept)
+        solved = rel <= max(eta, 1e-10) and np.all(np.isfinite(dx))
+        if not (solved or np.all(diag > 0)):
+            diag = np.where(diag > 0, diag, kappa[free])  # Levenberg shift
+            dx, _, more = _pcg(Kf, diag, -r, eta, cap, accept)
             iters += more
 
         def move(alpha):
