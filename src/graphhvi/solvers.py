@@ -262,18 +262,17 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     continues to ``EXACT_TOL`` only if the step it has reached would finish
     the solve, with no node changing state after it: every free node stays
     inside its piece, and every node still pinned has its required
-    ``f - L(phi + dx)`` inside its interval.  A run that misses
-    ``max(eta, 1e-10)`` or steps to a non-finite point is repeated with
-    ``kappa`` where ``kappa + mu beta'`` is not positive (a Levenberg
-    shift), if anywhere.  A nonmonotone line search (Grippo, Lampariello
-    and Lucidi) takes the first ``alpha`` of 1, 1/2, ..., 2**-10 whose
-    residual norm is at most ``(1 - 1e-4 alpha)`` times the largest of the
-    last ``WINDOW`` iterates', else the full step.  A state repeating at no
-    smaller residual ends the loop ``cycled`` once ``WINDOW`` steps have
-    passed without a new best.  A trial point's residual reads its
-    intervals from its states, so states are located only at the starting
-    ``phi``.  Reports the best iterate, without norms; the last trace entry
-    names the reason the loop stopped.
+    ``f - L(phi + dx)`` inside its interval.  Where ``kappa + mu beta'`` is
+    not positive, a run that misses ``max(eta, 1e-10)`` or steps to a
+    non-finite point is repeated with ``kappa`` there (a Levenberg shift).
+    A nonmonotone line search (Grippo, Lampariello and Lucidi) takes the
+    first ``alpha`` of 1, 1/2, ..., 2**-10 whose residual norm is at most
+    ``(1 - 1e-4 alpha)`` times the largest of the last ``WINDOW`` iterates',
+    else the full step.  A state repeating at no smaller residual ends the
+    loop ``cycled`` once ``WINDOW`` steps have passed without a new best.
+    A trial point's residual reads its intervals from its states, so states
+    are located only at the starting ``phi``.  Reports the best iterate,
+    without norms; the last trace entry names the reason the loop stopped.
     """
     density = sp.density
     # piece p lies between ends[p] and ends[p + 1]
