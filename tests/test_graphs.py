@@ -45,16 +45,6 @@ class TestFromData:
         for (s, d), (r, c) in pairs.items():
             assert pairs[(d, s)] == (r, c)
 
-    def test_in_and_out_degrees_agree_bitwise(self):
-        # the reason one degree column says it all
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            g = make_random_graph(rng, max_nodes=40)
-            out = np.bincount(g.edge_src, g.rho, g.num_nodes)
-            inn = np.bincount(g.edge_dst, g.rho, g.num_nodes)
-            assert out.tobytes() == inn.tobytes()
-            assert gh.degrees(g).tobytes() == out.tobytes()
-
     def test_duplicate_node_rejected(self):
         with pytest.raises(GraphFormatError, match="duplicate node"):
             gh.from_data([("a", 1, 1), ("a", 1, 1)], [])
@@ -204,6 +194,16 @@ class TestMetricStructure:
         # a touches rho = 1.0 and 0.25, b touches 1.0 and 2.0
         assert d[g.node_index("a")] == pytest.approx(1.25)
         assert d[g.node_index("b")] == pytest.approx(3.0)
+
+    def test_in_and_out_degrees_agree_bitwise(self):
+        # the reason one degree column says it all
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            g = make_random_graph(rng, max_nodes=40)
+            out = np.bincount(g.edge_src, g.rho, g.num_nodes)
+            inn = np.bincount(g.edge_dst, g.rho, g.num_nodes)
+            assert out.tobytes() == inn.tobytes()
+            assert gh.degrees(g).tobytes() == out.tobytes()
 
     def test_rho_distance(self):
         g = self.path3()
