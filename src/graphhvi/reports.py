@@ -20,7 +20,7 @@ from .graphs import NodeTable, WeightedGraph, degrees, volume
 from .operators import constants
 from .solvers import Certificate, ParabolicResult, SolveReport
 
-SCHEMA_VERSION = 1   # cli.main stamps it as every report's first key
+SCHEMA_VERSION = 2   # cli.main stamps it as every report's first key
 
 
 def _fmt_float(x: float) -> str:

@@ -88,7 +88,7 @@ class TestValidate:
         assert code == 0
         doc = json.loads(out)
         assert doc["num_nodes"] == 1
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
 
     def test_bad_graph_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path / "bad.json", {**GRAPH, "color": "blue"})
@@ -739,7 +739,7 @@ class TestEntryPoint:
         code, out, err = run([command, *self.argv(workspace, command)],
                              capsys)
         assert (code, err) == (0, "")
-        assert out.startswith('{\n  "schema_version": 1,\n')
+        assert out.startswith('{\n  "schema_version": 2,\n')
 
     def test_no_command_imports_csgraph(self, workspace):
         # scipy's graph module is slow to import; only
