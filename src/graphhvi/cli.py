@@ -19,7 +19,8 @@ import numpy as np
 
 from . import exhaustion, operators, reports, solvers, superpotential
 from .calculus import lp_norm_nodes
-from .graphs import NodeTable, _finite, load_graph, node_function
+from .graphs import (NodeTable, _finite, degrees, load_graph, node_function,
+                     volume)
 
 
 class InputError(ValueError):
@@ -117,7 +118,14 @@ def _emit(doc: dict, args, title: str) -> None:
 
 def cmd_validate(args) -> tuple[dict, int]:
     g = _checked(args.graph, load_graph, args.graph)
-    return reports.validate_report_dict(g), 0
+    return {
+        "num_nodes": g.num_nodes,
+        "num_directed_edges": g.num_edges,
+        "mu_total": g.mu_total,
+        "volume_rho": volume(g),
+        "degrees": NodeTable(g, degrees(g)),
+        "constants": dataclasses.asdict(operators.constants(g)),
+    }, 0
 
 
 def cmd_certify(args) -> tuple[dict, int]:
@@ -133,8 +141,18 @@ def cmd_solve_elliptic(args) -> tuple[dict, int]:
     g, sp, f, _, opts = load_problem(args.problem, args.tol)
     problem = solvers.EllipticProblem(g, sp, f)
     rep = solvers.solve_elliptic(problem, opts)
-    return (reports.solve_report_dict(g, rep, solvers.certify(problem)),
-            0 if rep.converged else 1)
+    return {
+        "converged": rep.converged,
+        "residual_norm": rep.residual_norm,
+        "solution": NodeTable(g, rep.phi),
+        "xi": NodeTable(g, rep.xi),
+        "residual": NodeTable(g, rep.inclusion_residual),
+        "norms": dataclasses.asdict(solvers.sobolev_norms(g, rep.phi)),
+        "constants": dataclasses.asdict(operators.constants(g)),
+        "certificates": [dataclasses.asdict(c)
+                         for c in solvers.certify(problem)],
+        "trace": [dict(t) for t in rep.iterations],
+    }, 0 if rep.converged else 1
 
 
 def cmd_solve_parabolic(args) -> tuple[dict, int]:
@@ -155,7 +173,13 @@ def cmd_solve_parabolic(args) -> tuple[dict, int]:
     T = float(_number(parabolic["T"], numbers.Real, "T"))
     res = solvers.solve_parabolic(solvers.ParabolicProblem(
         graph=g, sp=sp, f=f, phi0=phi0, T=T, steps=steps), opts)
-    return reports.parabolic_report_dict(g, res), 0 if res.converged else 1
+    return {
+        "converged": res.converged,
+        "times": res.times.tolist(),
+        "states": [NodeTable(g, row) for row in res.states],
+        "step_residual_norms": [r.residual_norm for r in res.reports],
+        "constants": dataclasses.asdict(res.constants),
+    }, 0 if res.converged else 1
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -187,7 +211,7 @@ def cmd_exhaust(args) -> tuple[dict, int]:
         "tail_masses": rep.tail_masses,
         "final_solution": NodeTable(rep.graphs[-1], rep.solutions[-1].phi),
         "final_residual_norm": rep.solutions[-1].residual_norm,
-    }, 0 if all(r.converged for r in rep.solutions) else 1
+    }, 0 if rep.solutions[-1].converged else 1
 
 
 _PROBLEM = ("--problem", {"required": True})

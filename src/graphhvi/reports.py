@@ -12,13 +12,10 @@ import os
 import math
 import tempfile
 from collections.abc import Mapping
-from dataclasses import asdict
 
 import numpy as np
 
-from .graphs import NodeTable, WeightedGraph, degrees, volume
-from .operators import constants
-from .solvers import Certificate, ParabolicResult, SolveReport
+from .graphs import NodeTable, WeightedGraph
 
 SCHEMA_VERSION = 2   # cli.main stamps it as every report's first key
 
@@ -69,42 +66,6 @@ def render_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return json.dumps(str(obj))
-
-
-def solve_report_dict(g: WeightedGraph, rep: SolveReport,
-                      certificates: list[Certificate]) -> dict:
-    return {
-        "converged": rep.converged,
-        "residual_norm": rep.residual_norm,
-        "solution": NodeTable(g, rep.phi),
-        "xi": NodeTable(g, rep.xi),
-        "residual": NodeTable(g, rep.inclusion_residual),
-        "norms": asdict(rep.norms),
-        "constants": asdict(rep.constants),
-        "certificates": [asdict(c) for c in certificates],
-        "trace": [dict(t) for t in rep.iterations],
-    }
-
-
-def parabolic_report_dict(g: WeightedGraph, res: ParabolicResult) -> dict:
-    return {
-        "converged": res.converged,
-        "times": res.times.tolist(),
-        "states": [NodeTable(g, row) for row in res.states],
-        "step_residual_norms": [r.residual_norm for r in res.reports],
-        "constants": asdict(res.reports[-1].constants),
-    }
-
-
-def validate_report_dict(g: WeightedGraph) -> dict:
-    return {
-        "num_nodes": g.num_nodes,
-        "num_directed_edges": g.num_edges,
-        "mu_total": g.mu_total,
-        "volume_rho": volume(g),
-        "degrees": NodeTable(g, degrees(g)),
-        "constants": asdict(constants(g)),
-    }
 
 
 def render_human(doc: dict, title: str) -> str:

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (SobolevNormReport, _check_nodes, inner_product_nodes,
-                       lp_norm_nodes, sobolev_norms)
+from .calculus import _check_nodes, inner_product_nodes, lp_norm_nodes
+# sobolev_norms is not used here: the elliptic report calls it as
+# solvers.sobolev_norms, the name the benchmark's calculus.norms span wraps
+from .calculus import sobolev_norms  # noqa: F401
 from .graphs import WeightedGraph
 from .operators import (EXACT_TOL, AssembledOperator, OperatorConstants,
                         _pcg, apply, assemble, bilinear_form, constants)
@@ -106,8 +108,6 @@ class SolveReport:
     residual_norm: float
     converged: bool
     iterations: list[dict]
-    constants: OperatorConstants
-    norms: SobolevNormReport | None = None   # set by solve_elliptic only
 
 
 @dataclass
@@ -116,6 +116,7 @@ class ParabolicResult:
     states: np.ndarray          # (steps + 1, n), row 0 is phi0
     reports: list[SolveReport]  # one per completed time step
     converged: bool
+    constants: OperatorConstants  # of the graph with kappa + mu/tau
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,7 @@ def _measure(opr: AssembledOperator, density: PiecewiseDensity,
 # would only repeat what the trace says
 @np.errstate(over="ignore", invalid="ignore")
 def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
-           phi: np.ndarray, opts: SolverOptions,
-           c: OperatorConstants) -> SolveReport:
+           phi: np.ndarray, opts: SolverOptions) -> SolveReport:
     """Primal-dual active-set (semismooth Newton) loop on the exact inclusion.
 
     Node v is in state ``s[v]``: even ``2p`` is free on piece p, where
@@ -271,8 +271,8 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     else the full step.  A state repeating at no smaller residual ends the
     loop ``cycled`` once ``WINDOW`` steps have passed without a new best.
     A trial point's residual reads its intervals from its states, so states
-    are located only at the starting ``phi``.  Reports the best iterate,
-    without norms; the last trace entry names the reason the loop stopped.
+    are located only at the starting ``phi``.  Reports the best iterate;
+    the last trace entry names the reason the loop stopped.
     """
     density = sp.density
     # piece p lies between ends[p] and ends[p + 1]
@@ -362,13 +362,12 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
     phi, rn, target, lo, hi, resid = best
     return SolveReport(
         phi=phi, xi=np.clip(target, lo, hi), inclusion_residual=resid,
-        residual_norm=rn, converged=rn <= opts.tol, iterations=trace,
-        constants=c)
+        residual_norm=rn, converged=rn <= opts.tol, iterations=trace)
 
 
 def solve_elliptic(problem: EllipticProblem,
                    options: SolverOptions | None = None) -> SolveReport:
-    """Solve the elliptic inclusion; the report carries the solution's norms.
+    """Solve the elliptic inclusion.
 
     Returns the best iterate with ``converged=False`` when the inclusion
     residual norm cannot be pushed below ``options.tol``; the last trace
@@ -378,9 +377,7 @@ def solve_elliptic(problem: EllipticProblem,
     g = problem.graph
     phi = (np.zeros(g.num_nodes) if opts.initial is None
            else _check_nodes(g, opts.initial).copy())
-    rep = _solve(assemble(g), problem.sp, problem.f, phi, opts, constants(g))
-    rep.norms = sobolev_norms(g, rep.phi)
-    return rep
+    return _solve(assemble(g), problem.sp, problem.f, phi, opts)
 
 
 def solve_parabolic(problem: ParabolicProblem,
@@ -396,7 +393,7 @@ def solve_parabolic(problem: ParabolicProblem,
     try:
         times = np.linspace(0.0, problem.T, problem.steps + 1)
         states = np.empty((problem.steps + 1, g.num_nodes))
-    except (MemoryError, ValueError):  # ValueError: numpy's size limit
+    except MemoryError:
         raise ValueError(f"steps = {problem.steps} is too large: the "
                          "trajectory does not fit in memory") from None
     tau = problem.T / problem.steps
@@ -407,10 +404,11 @@ def solve_parabolic(problem: ParabolicProblem,
     for k in range(1, problem.steps + 1):
         f_eff = problem.f[k - 1] + states[k - 1] / tau
         rep = _solve(opr, problem.sp_at(times[k]), f_eff,
-                     states[k - 1].copy(), opts, c)
+                     states[k - 1].copy(), opts)
         reports.append(rep)
         states[k] = rep.phi
         if not rep.converged:   # the partial trajectory, up to this step
             break
     return ParabolicResult(times=times[:k + 1], states=states[:k + 1],
-                           reports=reports, converged=rep.converged)
+                           reports=reports, converged=rep.converged,
+                           constants=c)

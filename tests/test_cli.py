@@ -1,16 +1,21 @@
 """End-to-end command-line tests (exit codes, report content, determinism)."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import graphhvi as gh
 import graphhvi.cli
 from graphhvi.cli import main
+
+from conftest import make_random_graph
 
 GRAPH = {
     "nodes": [{"id": "v", "mu": 1.0, "kappa": 1.0}],
@@ -35,6 +40,26 @@ def workspace(tmp_path):
         "f": {"v": 2.0},
     })
     return tmp_path
+
+
+def random_problem(workspace, seed, max_nodes):
+    """A problem file on ``make_random_graph``'s graph, with ``j = 0.2 |t|``
+    and a load uniform in [-1, 1]; returns its path and the graph."""
+    g = make_random_graph(np.random.default_rng(seed), max_nodes=max_nodes)
+    f = np.random.default_rng(seed + 1).uniform(-1, 1, g.num_nodes)
+    # the graph stores both orientations of an adjacency consecutively
+    a, b = g.edge_src[::2].tolist(), g.edge_dst[::2].tolist()
+    write(workspace / f"graph{seed}.json", {
+        "nodes": [{"id": v, "mu": m, "kappa": k} for v, m, k
+                  in zip(g.nodes, g.mu.tolist(), g.kappa.tolist())],
+        "adjacencies": [{"a": g.nodes[i], "b": g.nodes[j], "rho": r,
+                         "gamma": c} for i, j, r, c
+                        in zip(a, b, g.rho[::2].tolist(),
+                               g.gamma[::2].tolist())]})
+    return write(workspace / f"problem{seed}.json", {
+        "graph": f"graph{seed}.json",
+        "superpotential": {"breakpoints": [0.0], "pieces": [[-0.2], [0.2]]},
+        "f": dict(zip(g.nodes, f.tolist()))}), g
 
 
 def run(args, capsys):
@@ -89,6 +114,21 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["num_nodes"] == 1
         assert doc["schema_version"] == 2
+
+    def test_two_node_report(self, tmp_path, capsys):
+        path = write(tmp_path / "two.json", {
+            "nodes": [{"id": "a", "mu": 2.0, "kappa": 1.0},
+                      {"id": "b", "mu": 1.0, "kappa": 3.0}],
+            "adjacencies": [{"a": "a", "b": "b", "rho": 4.0, "gamma": 2.0}]})
+        code, out, _ = run(["validate", "--graph", path], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["num_nodes"] == 2
+        assert doc["num_directed_edges"] == 2
+        assert doc["mu_total"] == 3.0
+        assert doc["volume_rho"] == 8.0
+        assert doc["degrees"] == {"a": 4.0, "b": 4.0}
+        assert doc["constants"]["m_coercive"] == 0.5
 
     def test_bad_graph_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path / "bad.json", {**GRAPH, "color": "blue"})
@@ -161,6 +201,26 @@ class TestSolveElliptic:
         _, first, _ = run(args, capsys)
         _, second, _ = run(args, capsys)
         assert first == second
+
+    def test_byte_identical_runs_on_a_random_graph(self, workspace, capsys):
+        args = ["solve-elliptic", "--problem",
+                random_problem(workspace, 22, max_nodes=30)[0]]
+        _, first, _ = run(args, capsys)
+        _, second, _ = run(args, capsys)
+        assert first == second
+
+    def test_report_keys(self, workspace, capsys):
+        path, g = random_problem(workspace, 20, max_nodes=8)
+        code, out, _ = run(["solve-elliptic", "--problem", path], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["schema_version", "converged", "residual_norm",
+                             "solution", "xi", "residual", "norms",
+                             "constants", "certificates", "trace"]
+        assert list(doc["solution"]) == list(g.nodes)
+        phi = gh.node_function(g, doc["solution"])
+        assert doc["norms"] == dataclasses.asdict(gh.sobolev_norms(g, phi))
+        assert doc["constants"] == dataclasses.asdict(gh.constants(g))
 
     def test_out_file(self, workspace, capsys):
         out_path = workspace / "report.json"
@@ -690,26 +750,39 @@ def test_one_load_and_one_render_per_operation(workspace, capsys,
     assert calls == {"load": 2, "render": 2}
 
 
-@pytest.mark.parametrize("command, certified", [("solve-elliptic", 1),
-                                                ("exhaust", 0)])
+@pytest.mark.parametrize("command, printed", [("solve-elliptic", 1),
+                                              ("solve-parabolic", 0),
+                                              ("exhaust", 0)])
 def test_certify_only_for_a_report_that_prints_it(workspace, capsys,
                                                   monkeypatch, command,
-                                                  certified):
-    """``solve-elliptic`` certifies its problem once, through
-    ``graphhvi.solvers.certify`` (the benchmark's ``solvers.certify`` span);
-    ``exhaust`` reports no certificate and computes none."""
-    certify, calls = graphhvi.solvers.certify, []
+                                                  printed):
+    """``solve-elliptic`` certifies its problem and takes its solution's
+    norms once each, through ``graphhvi.solvers.certify`` and
+    ``graphhvi.solvers.sobolev_norms`` (the benchmark's ``solvers.certify``
+    and ``calculus.norms`` spans); ``solve-parabolic`` and ``exhaust`` report
+    neither and compute neither."""
+    calls = {"certify": 0, "sobolev_norms": 0}
 
-    def counting(problem):
-        calls.append(problem)
-        return certify(problem)
+    def counting(name):
+        fn = getattr(graphhvi.solvers, name)
 
-    monkeypatch.setattr(graphhvi.solvers, "certify", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(graphhvi.solvers, name, counting(name))
     code, out, _ = run([command, *TestEntryPoint.argv(workspace, command)],
                        capsys)
     assert code == 0
-    assert len(calls) == certified
-    assert ("certificates" in json.loads(out)) == bool(certified)
+    assert calls == {"certify": printed, "sobolev_norms": printed}
+    doc = json.loads(out)
+    assert ("certificates" in doc) == ("norms" in doc) == bool(printed)
+    if printed:
+        g = gh.load_graph(str(workspace / "graph.json"))
+        phi = gh.node_function(g, doc["solution"])
+        assert doc["norms"] == dataclasses.asdict(gh.sobolev_norms(g, phi))
 
 
 class TestEntryPoint:

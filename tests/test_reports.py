@@ -10,9 +10,6 @@ from hypothesis import given, settings, strategies as st
 import graphhvi as gh
 from graphhvi import reports
 from graphhvi.graphs import NodeTable, WeightedGraph
-from graphhvi.solvers import EllipticProblem, certify, solve_elliptic
-
-from conftest import abs_density, make_random_graph
 
 
 def old_render_json(obj, indent: int = 0) -> str:
@@ -176,44 +173,6 @@ class TestNodeTableRendering:
         assert dict(table) == {"a": 1.5, "b": -0.0}
         with pytest.raises(KeyError):
             table["c"]
-
-
-class TestReportDicts:
-    def test_validate_report(self):
-        g = gh.from_data(
-            [("a", 2.0, 1.0), ("b", 1.0, 3.0)],
-            [("a", "b", 4.0, 2.0)],
-        )
-        doc = reports.validate_report_dict(g)
-        assert doc["num_nodes"] == 2
-        assert doc["num_directed_edges"] == 2
-        assert doc["mu_total"] == 3.0
-        assert doc["volume_rho"] == 8.0
-        assert dict(doc["degrees"]) == {"a": 4.0, "b": 4.0}
-        assert doc["constants"]["m_coercive"] == 0.5
-
-    def test_solve_report_dict_keys(self):
-        g = make_random_graph(np.random.default_rng(20), max_nodes=8)
-        f = np.random.default_rng(21).uniform(-1, 1, g.num_nodes)
-        problem = EllipticProblem(g, abs_density(0.2), f)
-        doc = reports.solve_report_dict(g, solve_elliptic(problem),
-                                        certify(problem))
-        # the CLI stamps "schema_version" on every report, not the builder
-        assert set(doc) == {"converged", "residual_norm", "solution", "xi",
-                            "residual", "norms", "constants", "certificates",
-                            "trace"}
-        assert set(doc["solution"]) == set(g.nodes)
-        json.loads(reports.render_json(doc))
-
-    def test_byte_identical_repeated_solves(self):
-        g = make_random_graph(np.random.default_rng(22), max_nodes=30)
-        f = np.random.default_rng(23).uniform(-1, 1, g.num_nodes)
-        docs = []
-        for _ in range(2):
-            problem = EllipticProblem(g, abs_density(0.2), f)
-            docs.append(reports.render_json(reports.solve_report_dict(
-                g, solve_elliptic(problem), certify(problem))))
-        assert docs[0] == docs[1]
 
 
 class TestHumanRendering:

@@ -152,8 +152,6 @@ class TestEllipticNonsmooth:
         rep = solve_elliptic(EllipticProblem(g, abs_density(0.2), f))
         assert rep.residual_norm == pytest.approx(
             gh.lp_norm_nodes(g, rep.inclusion_residual, 2.0))
-        assert rep.norms.w_hilbert == pytest.approx(
-            gh.sobolev_norms(g, rep.phi).w_hilbert)
 
     def test_nonconvergence_reports_best_iterate(self):
         opts = SolverOptions(max_inner=0)
@@ -702,26 +700,8 @@ class TestParabolic:
         res = solve_parabolic(problem)
         assert res.converged and len(res.reports) == 8
         assert len(calls) == 1
-
-    def test_norms_only_for_the_elliptic_report(self, monkeypatch):
-        # no report reads a time step's norms, so none are computed
-        norms, calls = graphhvi.solvers.sobolev_norms, []
-
-        def counting(g, phi):
-            calls.append(phi.copy())
-            return norms(g, phi)
-
-        monkeypatch.setattr(graphhvi.solvers, "sobolev_norms", counting)
-        g = make_random_graph(np.random.default_rng(8), max_nodes=10)
-        f = np.random.default_rng(9).uniform(-1.0, 1.0, g.num_nodes)
-        res = solve_parabolic(ParabolicProblem(
-            graph=g, sp=abs_density(0.2), f=f, phi0=np.zeros(g.num_nodes),
-            T=1.0, steps=4))
-        assert res.converged and len(res.reports) == 4
-        assert calls == [] and all(r.norms is None for r in res.reports)
-        rep = solve_elliptic(EllipticProblem(g, abs_density(0.2), f))
-        assert len(calls) == 1 and calls[0].tobytes() == rep.phi.tobytes()
-        assert rep.norms == norms(g, rep.phi)
+        # the constants of the operator it assembled, kappa + mu / tau
+        assert res.constants == gh.constants(calls[0])
 
 
 def stepped_reference(problem, opts):
