@@ -126,11 +126,14 @@ class SolverOptions:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:  # also rejects NaN
+        if (isinstance(self.tol, (bool, np.bool_))
+                or not 0 < self.tol < math.inf):  # also rejects NaN
             raise ValueError("tol must be positive and finite")
-        if isinstance(self.max_inner, bool) or not (
-                isinstance(self.max_inner, int) and self.max_inner >= 0):
+        if (isinstance(self.max_inner, bool)
+                or not isinstance(self.max_inner, numbers.Integral)
+                or self.max_inner < 0):
             raise ValueError("max_inner must be a non-negative integer")
+        object.__setattr__(self, "max_inner", int(self.max_inner))
 
 
 def sum_functional(g: WeightedGraph, sp: Superpotential,

@@ -760,9 +760,14 @@ class TestParabolicReference:
 
 class TestOptions:
     def test_validation(self):
-        for tol in (0.0, math.nan, math.inf):
+        for tol in (0.0, math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="tol"):
                 SolverOptions(tol=tol)
-        for max_inner in (-1, 1.5, True):
+        for max_inner in (-1, 1.5, True, np.True_, np.float64(5.0),
+                          np.int64(-1)):
             with pytest.raises(ValueError, match="max_inner"):
                 SolverOptions(max_inner=max_inner)
+        # any integer but a bool, kept as a Python int
+        for max_inner in (5, np.int64(5), np.int32(5), np.uint8(5)):
+            opts = SolverOptions(max_inner=max_inner)
+            assert opts.max_inner == 5 and type(opts.max_inner) is int
