@@ -126,7 +126,8 @@ class SolverOptions:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
-        if (isinstance(self.tol, (bool, np.bool_))
+        if (isinstance(self.tol, bool)
+                or not isinstance(self.tol, numbers.Real)
                 or not 0 < self.tol < math.inf):  # also rejects NaN
             raise ValueError("tol must be positive and finite")
         if (isinstance(self.max_inner, bool)

@@ -760,7 +760,7 @@ class TestParabolicReference:
 
 class TestOptions:
     def test_validation(self):
-        for tol in (0.0, math.nan, math.inf, True, np.True_):
+        for tol in (0.0, math.nan, math.inf, True, np.True_, "1e-8", None):
             with pytest.raises(ValueError, match="tol"):
                 SolverOptions(tol=tol)
         for max_inner in (-1, 1.5, True, np.True_, np.float64(5.0),
