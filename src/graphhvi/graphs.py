@@ -19,7 +19,6 @@ from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 
 class GraphFormatError(ValueError):
@@ -264,10 +263,10 @@ def degrees(g: WeightedGraph) -> np.ndarray:
 
 def distances_from(g: WeightedGraph, center: str) -> np.ndarray:
     """Shortest-path rho-distance from ``center`` to every node (inf if none)."""
-    from scipy.sparse.csgraph import dijkstra   # lazy: no command needs it
+    from scipy.sparse import coo_matrix, csgraph   # lazy: no command needs it
     rho = coo_matrix((g.rho, (g.edge_src, g.edge_dst)),
                      shape=(g.num_nodes, g.num_nodes))
-    return dijkstra(rho.tocsr(), indices=g.node_index(center))
+    return csgraph.dijkstra(rho.tocsr(), indices=g.node_index(center))
 
 
 def ball(g: WeightedGraph, center: str, r: float) -> set[str]:

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .calculus import _check_nodes, difference, lp_norm_edges, lp_norm_nodes
 from .graphs import WeightedGraph
+
+if TYPE_CHECKING:   # annotations only; assemble imports scipy when it runs
+    from scipy import sparse
 
 EXACT_TOL = 1e-13   # where a linear solve that finishes a nonsmooth one stops
 
@@ -49,6 +52,7 @@ class OperatorConstants:
 
 def assemble(g: WeightedGraph) -> AssembledOperator:
     """Sparse K, C, M in canonical node order."""
+    from scipy import sparse   # lazy: import graphhvi loads only numpy
     n = g.num_nodes
     diag = np.bincount(g.edge_src, g.gamma, n)   # added up in edge order
     v = np.flatnonzero(diag)    # one entry per node that has an edge

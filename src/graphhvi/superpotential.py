@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .graphs import _finite
 
@@ -241,6 +240,7 @@ def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
         while len(coef) > 1 and not np.all(np.isfinite(coef[:-1] / coef[-1])):
             coef = coef[:-1]
     if len(coef) > 2:
+        from numpy.polynomial import polynomial as P   # lazy, as in assemble
         roots = P.polyroots(coef)
         roots = roots[np.abs(roots.imag) < 1e-10].real
     else:  # none for a constant, -c0 / c1 for a line

@@ -106,6 +106,34 @@ print(json.dumps([codes, loaded, sorted(gh.ball(g, "a", 1.5))]))
 """
 
 
+# Runs each argv list of argv[1] through cli.main, its stdout discarded, and
+# prints one row after ``import graphhvi``, one after ``import graphhvi.cli``
+# and one after each command: the exit code (None for an import), then
+# whether scipy and numpy.polynomial are loaded that ``import numpy`` alone
+# did not load (numpy 1.x imports numpy.polynomial itself).
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+import numpy
+own = set(sys.modules)
+rows = []
+def row(code):
+    rows.append([code, *(m in sys.modules and m not in own
+                         for m in ("scipy", "numpy.polynomial"))])
+import graphhvi
+row(None)
+from graphhvi import cli
+row(None)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # --help
+            code = exc.code
+    row(code)
+print(json.dumps(rows))
+"""
+
+
 class TestValidate:
     def test_machine_report(self, workspace, capsys):
         code, out, _ = run(["validate", "--graph",
@@ -829,6 +857,37 @@ class TestEntryPoint:
         assert codes == [0] * len(argvs)
         assert loaded is False
         assert ball == ["a", "b"]
+
+    def test_scipy_loaded_only_to_assemble(self, workspace):
+        # only a linear solve on the assembled K + C needs scipy: import,
+        # validate, certify, --help and an input rejection load none of it
+        def probe(*argvs):
+            proc = run_python("-c", FOOTPRINT_PROBE, json.dumps(argvs))
+            assert proc.returncode == 0, proc.stderr
+            return proc.stderr, json.loads(proc.stdout)
+
+        bad = write(workspace / "bad.json", {"graph": "graph.json",
+                                             "superpotential": ABS_SP,
+                                             "f": {}})   # misses node v
+        out = str(workspace / "report.json")
+        err, rows = probe(["validate", *self.argv(workspace, "validate"),
+                           "--out", out],
+                          ["certify", *self.argv(workspace, "certify"),
+                           "--out", out],
+                          ["--help"],
+                          ["solve-elliptic", "--problem", bad, "--out", out])
+        assert err.startswith(f"error: {bad}: load f:")
+        assert [row[:2] for row in rows] == [[None, False], [None, False],
+                                             [0, False], [0, False],
+                                             [0, False], [2, False]]
+        assert [row[2] for row in rows[:3]] == [False] * 3
+        # the probe sees scipy where a command assembles the operator
+        for command in ("solve-elliptic", "solve-parabolic", "verify",
+                        "exhaust"):
+            err, rows = probe([command, *self.argv(workspace, command),
+                               "--out", out])
+            assert (err, [row[:2] for row in rows]) == (
+                "", [[None, False], [None, False], [0, True]])
 
     def test_parser_built_once_per_process(self, workspace, capsys,
                                            monkeypatch):
