@@ -85,12 +85,15 @@ def render_human(doc: dict, title: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8: a temp file in the same directory, renamed."""
+    """Write ``text`` as UTF-8: a temp file in the same directory, given the
+    mode an ordinary write would (``0o666 & ~umask``), renamed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphhvi-")
+    os.umask(umask := os.umask(0))   # reading the umask means setting it
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -192,3 +194,21 @@ class TestAtomicWrite:
         assert path.read_text() == "second\n"
         # no temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_of_an_ordinary_write(self, tmp_path, umask):
+        # 0o666 & ~umask, as open() gives a new file; also when the write
+        # replaces a report of another mode
+        path, plain = tmp_path / "out.json", tmp_path / "plain.json"
+        old = os.umask(umask)
+        try:
+            plain.write_text("plain\n")
+            reports.write_atomic(str(path), "first\n")
+            first = stat.S_IMODE(path.stat().st_mode)
+            path.chmod(0o640)
+            reports.write_atomic(str(path), "second\n")
+        finally:
+            os.umask(old)
+        assert first == stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert first == stat.S_IMODE(plain.stat().st_mode)
+        assert path.read_text() == "second\n"
