@@ -110,10 +110,14 @@ def _emit(doc: dict, args, title: str) -> None:
         text = reports.render_json(doc) + "\n"
     else:
         text = reports.render_human(doc, title)
-    if args.out:
-        reports.write_atomic(args.out, text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        reports.write_atomic(args.out, text)
+    except OSError as exc:   # its own message may name the temp file
+        raise InputError(
+            f"{args.out}: cannot write ({exc.strerror})") from exc
 
 
 def cmd_validate(args) -> tuple[dict, int]:

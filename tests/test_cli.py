@@ -198,12 +198,23 @@ class TestValidate:
 
     def test_directory_as_out(self, workspace, capsys):
         (workspace / "reports").mkdir()
-        code, out, err = run(["validate", "--graph",
-                              str(workspace / "graph.json"),
-                              "--out", str(workspace / "reports")], capsys)
+        out = str(workspace / "reports")
+        code, stdout, err = run(["validate", "--graph",
+                                 str(workspace / "graph.json"),
+                                 "--out", out], capsys)
         assert code == 2
-        assert out == "" and err.startswith("error:")
+        # the error names the --out path, not write_atomic's temp file
+        assert (stdout, err) == (
+            "", f"error: {out}: cannot write (Is a directory)\n")
         assert not list(workspace.rglob(".graphhvi-*"))
+
+    def test_out_in_a_missing_directory(self, workspace, capsys):
+        out = str(workspace / "missing_dir" / "rep.json")
+        assert run(["validate", "--graph", str(workspace / "graph.json"),
+                    "--out", out], capsys) == (
+            2, "", f"error: {out}: cannot write (No such file or directory)\n")
+        assert sorted(p.name for p in workspace.iterdir()) == [
+            "graph.json", "problem.json"]
 
     def test_empty_graph(self, tmp_path, capsys):
         path = write(tmp_path / "empty.json", {"nodes": [],
