@@ -6,9 +6,8 @@ from .calculus import (EmbeddingDiagnostics, SobolevNormReport, difference,
                        w_hilbert_norm)
 from .graphs import (GraphFormatError, NodeTable, WeightedGraph, ball,
                      degrees, from_data, load_graph, node_function, volume)
-from .operators import (AssembledOperator, LinearSolveError,
-                        OperatorConstants, apply, assemble, bilinear_form,
-                        constants, solve_spd)
+from .operators import (AssembledOperator, OperatorConstants, apply,
+                        assemble, bilinear_form, constants)
 from .solvers import (Certificate, EllipticProblem, ParabolicProblem,
                       ParabolicResult, SolveReport, SolverOptions, certify,
                       energy, hvi_residual, solve_elliptic, solve_parabolic,

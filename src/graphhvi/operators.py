@@ -23,14 +23,6 @@ if TYPE_CHECKING:   # annotations only; assemble imports scipy when it runs
 EXACT_TOL = 1e-13   # where a linear solve that finishes a nonsmooth one stops
 
 
-class LinearSolveError(RuntimeError):
-    """Inner linear solve failed to reach its residual contract."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class AssembledOperator:
     graph: WeightedGraph
@@ -142,30 +134,6 @@ def _pcg(A: sparse.csr_matrix, d: np.ndarray, rhs: np.ndarray, tol: float,
         nr = math.sqrt(r @ r)
         it += 1
     return x * s, nr / nb, it
-
-
-def solve_spd(opr: AssembledOperator, shift: np.ndarray, rhs: np.ndarray,
-              tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
-    """Solve ``(K + C + diag(shift)) phi = rhs`` by preconditioned CG.
-
-    ``shift`` entries must be nonnegative.  Raises :class:`LinearSolveError`
-    when the relative-residual contract cannot be met within ``max_iter``.
-    """
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != opr.graph.kappa.shape:
-        raise ValueError("shift diagonal has wrong shape")
-    if not np.all(np.isfinite(shift) & (shift >= 0)):
-        raise ValueError("shift diagonal must be finite and nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rhs = _check_nodes(opr.graph, rhs)
-    x, rel, _ = _pcg(opr.stiffness, opr.graph.kappa + shift, rhs, tol,
-                     max_iter)
-    if not rel <= tol:  # also a NaN residual from non-finite input
-        raise LinearSolveError(
-            f"PCG did not converge: relative residual {rel:.3e} > {tol:.3e}",
-            residual=rel)
-    return x
 
 
 def coercivity_gap(opr: AssembledOperator, phi: np.ndarray,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import math
+import stat
 import tempfile
 from collections.abc import Mapping
 
@@ -86,14 +87,19 @@ def render_human(doc: dict, title: str) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` as UTF-8: a temp file in the same directory, given the
-    mode an ordinary write would (``0o666 & ~umask``), renamed."""
+    mode an ordinary write would (that of the file it replaces, else
+    ``0o666 & ~umask``), renamed."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:   # nothing to replace
+        os.umask(umask := os.umask(0))   # reading the umask means setting it
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphhvi-")
-    os.umask(umask := os.umask(0))   # reading the umask means setting it
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

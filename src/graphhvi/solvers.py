@@ -186,7 +186,10 @@ def energy(g: WeightedGraph, sp: Superpotential, f: np.ndarray,
 
 def default_certificate_range(g: WeightedGraph, f: np.ndarray,
                               c: OperatorConstants) -> float:
-    """A priori sup-norm bound on the solution, from ||f|| and coercivity."""
+    """A priori sup-norm bound on the solution, from ||f|| and coercivity;
+    ``inf`` where ``m_coercive`` underflowed to 0."""
+    if c.m_coercive == 0.0:
+        return math.inf
     fn = lp_norm_nodes(g, f, 2.0)
     return float((1.0 + 2.0 * fn / c.m_coercive) / math.sqrt(g.mu.min()))
 
@@ -202,10 +205,10 @@ def certify(problem: EllipticProblem) -> list[Certificate]:
     c = constants(g)
     r = default_certificate_range(g, problem.f, c)
     margin = 0.5 * c.m_coercive
-    # an overflowed range r = inf puts inf and NaN on the candidate grid,
-    # and the constants come out NaN: reported (np.maximum keeps the NaN
-    # that max() would drop), not warned about
-    with np.errstate(invalid="ignore"):
+    # a huge or infinite range r overflows polynomial values and puts inf
+    # and NaN on the candidate grid: the constants come out inf or NaN,
+    # reported (np.maximum keeps the NaN that max() would drop), not warned
+    with np.errstate(over="ignore", invalid="ignore"):
         gc = growth_certificate(sp, r)
         rmc = relaxed_monotonicity_constant(sp, r)
         uniq_lhs = float(np.maximum(rmc, gc.alpha_j))
@@ -245,9 +248,10 @@ def _measure(opr: AssembledOperator, density: PiecewiseDensity,
     return lp_norm_nodes(opr.graph, resid), target, lo, hi, resid
 
 
-# a step may overflow; the loop then stops "non-finite", so a float warning
-# would only repeat what the trace says
-@np.errstate(over="ignore", invalid="ignore")
+# a step may overflow, or a zero Newton diagonal divide CG's preconditioner
+# by zero; the run is then not finite, so a float warning would only repeat
+# what the Levenberg fallback and the trace handle
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
            phi: np.ndarray, opts: SolverOptions) -> SolveReport:
     """Primal-dual active-set (semismooth Newton) loop on the exact inclusion.

@@ -457,6 +457,33 @@ class TestCertify:
             assert cert["lhs"] == "nan"
             assert cert["satisfied"] is False
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nodes, edges, sp, f", [
+        # m_coercive underflows to 0, on a node or on the edge
+        ([(1e300, 1e-300), (1.0, 1.0)], [(1.0, 1.0)], ABS_SP, [1.0, 1.0]),
+        ([(1.0, 1.0), (1.0, 1.0)], [(1e300, 1e-300)], ABS_SP, [1.0, 1.0]),
+        # the range comes out near 2e302, and t^2 overflows on it
+        ([(1.0, 1.0)] * 3, [(1.0, 1e-300), (1.0, 1.0)],
+         {"breakpoints": [0.0], "pieces": [[0.0], [0.0, 0.0, 1.0]]},
+         [0.0, 0.0, 100.0]),
+    ], ids=["node", "edge", "overflow"])
+    def test_extreme_range(self, tmp_path, capsys, nodes, edges, sp, f):
+        # a path: (mu, kappa) per node, (rho, gamma) per edge
+        ids = [f"v{i}" for i in range(len(nodes))]
+        write(tmp_path / "graph.json", {
+            "nodes": [{"id": v, "mu": m, "kappa": k}
+                      for v, (m, k) in zip(ids, nodes)],
+            "adjacencies": [{"a": a, "b": b, "rho": r, "gamma": c}
+                            for a, b, (r, c) in zip(ids, ids[1:], edges)]})
+        path = write(tmp_path / "problem.json", {
+            "graph": "graph.json", "superpotential": sp,
+            "f": dict(zip(ids, f))})
+        for command in ("certify", "solve-elliptic"):
+            code, out, err = run([command, "--problem", path], capsys)
+            assert (code, err) == (0, "")
+            for cert in json.loads(out)["certificates"]:
+                assert cert["satisfied"] is False
+
 
 class TestVerify:
     def test_round_trip(self, workspace, capsys):

@@ -54,10 +54,12 @@ def _density(draw):
 
 
 def _graph(draw):
-    """(node ids, graph document): a path of 1 to 3 nodes."""
+    """(node ids, graph document): a path of 1 to 3 nodes, whose weights
+    may also take the extremes 1e-300 and 1e300."""
     n = draw(st.integers(1, 3))
     ids = [f"v{i}" for i in range(n)]
-    weight = st.floats(1e-3, 1e3)
+    weight = st.one_of(st.floats(1e-3, 1e3),
+                       st.sampled_from([1e-300, 1e300]))
     graph = {"nodes": [{"id": v, "mu": draw(weight), "kappa": draw(weight)}
                        for v in ids],
              "adjacencies": [{"a": ids[i], "b": ids[i + 1],

@@ -1,4 +1,4 @@
-"""Operator assembly, constants, bilinear identity, and the SPD solver."""
+"""Operator assembly, constants, bilinear identity, and the CG solver."""
 
 import math
 
@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import graphhvi as gh
-from graphhvi.operators import (LinearSolveError, _pcg, assemble,
-                                bilinear_form, coercivity_gap, constants,
-                                solve_spd)
+from graphhvi.operators import (_pcg, assemble, bilinear_form,
+                                coercivity_gap, constants)
 
 from conftest import make_random_graph
 
@@ -148,61 +147,6 @@ class TestBilinearForm:
         assert coercivity_gap(opr, phi, 0.5) == pytest.approx(0.0, abs=1e-14)
 
 
-class TestSolveSPD:
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            g = make_random_graph(rng, max_nodes=80)
-            opr = assemble(g)
-            shift = rng.uniform(0.0, 2.0, g.num_nodes)
-            rhs = rng.normal(size=g.num_nodes)
-            x = solve_spd(opr, shift, rhs)
-            oracle = np.linalg.solve(dense_system(g) + np.diag(shift), rhs)
-            np.testing.assert_allclose(x, oracle, rtol=1e-9, atol=1e-11)
-
-    def test_zero_rhs(self):
-        g = make_random_graph(np.random.default_rng(11), max_nodes=10)
-        x = solve_spd(assemble(g), np.zeros(g.num_nodes),
-                      np.zeros(g.num_nodes))
-        np.testing.assert_array_equal(x, 0.0)
-
-    def test_validation(self):
-        g = make_random_graph(np.random.default_rng(14), max_nodes=5)
-        opr = assemble(g)
-        rhs = np.ones(g.num_nodes)
-        with pytest.raises(ValueError, match="nonnegative"):
-            solve_spd(opr, -np.ones(g.num_nodes), rhs)
-        with pytest.raises(ValueError, match="wrong shape"):
-            solve_spd(opr, np.zeros(g.num_nodes + 1), rhs)
-        with pytest.raises(ValueError, match="tol"):
-            solve_spd(opr, np.zeros(g.num_nodes), rhs, tol=0.0)
-        two = assemble(gh.from_data([("a", 1, 1), ("b", 1, 1)],
-                                    [("a", "b", 1, 1)]))
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                solve_spd(two, np.array([bad, 0.0]), np.ones(2))
-            # a non-finite load makes the relative residual NaN
-            with pytest.raises(LinearSolveError):
-                solve_spd(two, np.zeros(2), np.array([bad, 1.0]))
-
-    def test_iteration_budget_failure(self):
-        g = make_random_graph(np.random.default_rng(15), max_nodes=30)
-        opr = assemble(g)
-        rhs = np.ones(g.num_nodes)
-        with pytest.raises(LinearSolveError) as exc:
-            solve_spd(opr, np.zeros(g.num_nodes), rhs, max_iter=0)
-        assert exc.value.residual > 0.0
-
-    def test_deterministic(self):
-        g = make_random_graph(np.random.default_rng(16), max_nodes=50)
-        opr = assemble(g)
-        rhs = np.random.default_rng(17).normal(size=g.num_nodes)
-        shift = np.full(g.num_nodes, 0.5)
-        a = solve_spd(opr, shift, rhs)
-        b = solve_spd(opr, shift, rhs)
-        np.testing.assert_array_equal(a, b)
-
-
 def zero_start_pcg(A, d, rhs, tol, max_iter):
     """The CG loop as it ran before warm starts and right-hand-side scaling:
     from zero, on ``rhs`` as given."""
@@ -245,6 +189,24 @@ class TestPCG:
         g = make_random_graph(rng, max_nodes=max_nodes)
         d = g.kappa + rng.uniform(0.0, 1e-3, g.num_nodes)
         return assemble(g).stiffness, d, rng.normal(size=g.num_nodes) * 7.3
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            g = make_random_graph(rng, max_nodes=80)
+            shift = rng.uniform(0.0, 2.0, g.num_nodes)
+            rhs = rng.normal(size=g.num_nodes)
+            x, rel, _ = _pcg(assemble(g).stiffness, g.kappa + shift, rhs,
+                             1e-12, 10000)
+            assert rel <= 1e-12
+            oracle = np.linalg.solve(dense_system(g) + np.diag(shift), rhs)
+            np.testing.assert_allclose(x, oracle, rtol=1e-9, atol=1e-11)
+
+    def test_zero_rhs(self):
+        A, d, _ = self.system(11, max_nodes=10)
+        x, rel, it = _pcg(A, d, np.zeros(len(d)), 1e-12, 10000)
+        assert x.tobytes() == np.zeros(len(d)).tobytes()
+        assert (rel, it) == (0.0, 0)
 
     def test_zero_start_matches_the_plain_loop_bytewise(self):
         for seed in range(20):

@@ -197,18 +197,22 @@ class TestAtomicWrite:
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_mode_of_an_ordinary_write(self, tmp_path, umask):
-        # 0o666 & ~umask, as open() gives a new file; also when the write
-        # replaces a report of another mode
+        # as open() writes: 0o666 & ~umask for a new file, and the mode
+        # of a file it overwrites
         path, plain = tmp_path / "out.json", tmp_path / "plain.json"
         old = os.umask(umask)
         try:
             plain.write_text("plain\n")
             reports.write_atomic(str(path), "first\n")
             first = stat.S_IMODE(path.stat().st_mode)
+            assert first == stat.S_IMODE(plain.stat().st_mode)
             path.chmod(0o640)
+            plain.chmod(0o640)
             reports.write_atomic(str(path), "second\n")
+            plain.write_text("second\n")
         finally:
             os.umask(old)
-        assert first == stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
-        assert first == stat.S_IMODE(plain.stat().st_mode)
+        assert first == 0o666 & ~umask
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert stat.S_IMODE(plain.stat().st_mode) == 0o640
         assert path.read_text() == "second\n"

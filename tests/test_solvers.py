@@ -203,6 +203,18 @@ class TestActiveSet:
         assert not rep.converged
         assert rep.iterations[-1]["reason"] == "cycled"
 
+    def test_zero_newton_diagonal_cycles_without_warning(self):
+        # j' = -t: kappa + mu beta' = 0 divides CG's preconditioner by zero;
+        # the Levenberg fallback takes over, and as phi - phi = 1 has no
+        # solution the loop cycles
+        sp = build(PiecewiseDensity((), (np.array([0.0, -1.0]),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = solve_elliptic(EllipticProblem(single_node(), sp,
+                                                 np.array([1.0])))
+        assert not rep.converged
+        assert rep.iterations[-1]["reason"] == "cycled"
+
 
 class TestInexactNewton:
     """Inner CG tolerance 0.01 on the first step and
