@@ -106,15 +106,15 @@ def load_problem(path: str, tol: float | None = None):
 
 
 def _emit(doc: dict, args, title: str) -> None:
-    if args.format == "machine":
-        text = reports.render_json(doc) + "\n"
+    if args.format == "machine":   # the newline apart: no copy of the report
+        parts = (reports.render_json(doc), "\n")
     else:
-        text = reports.render_human(doc, title)
+        parts = (reports.render_human(doc, title),)
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
-        reports.write_atomic(args.out, text)
+        reports.write_atomic(args.out, *parts)
     except OSError as exc:   # its own message may name the temp file
         raise InputError(
             f"{args.out}: cannot write ({exc.strerror})") from exc

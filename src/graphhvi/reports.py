@@ -19,6 +19,7 @@ import numpy as np
 from .graphs import NodeTable, WeightedGraph
 
 SCHEMA_VERSION = 2   # cli.main stamps it as every report's first key
+DISTINCT_FROM = 1000   # node tables this long format each distinct value once
 
 
 def _fmt_float(x: float) -> str:
@@ -31,12 +32,14 @@ def _fmt_float(x: float) -> str:
 
 def _table_template(g: WeightedGraph, indent: int) -> str:
     """``template % values`` renders a node table of ``g`` at ``indent``: its
-    ids escaped as ``json.dumps`` does, ``%`` doubled; kept on ``g``."""
+    ids escaped as ``json.dumps`` does, ``%`` doubled, each value a ``%.17g``
+    (a ``%s`` of its text from ``DISTINCT_FROM`` nodes on); kept on ``g``."""
     if indent not in g._templates:
         pad, escape = "  " * indent, json.encoder.encode_basestring_ascii
+        spec = "%s" if g.num_nodes >= DISTINCT_FROM else "%.17g"
         ids = "\0".join(map(escape, g.nodes))   # no escaped id holds a NUL
-        body = ids.replace("%", "%%").replace("\0", f": %.17g,\n{pad}  ")
-        g._templates[indent] = f"{{\n{pad}  {body}: %.17g\n{pad}}}"
+        body = ids.replace("%", "%%").replace("\0", f": {spec},\n{pad}  ")
+        g._templates[indent] = f"{{\n{pad}  {body}: {spec}\n{pad}}}"
     return g._templates[indent]
 
 
@@ -45,19 +48,33 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, NodeTable) and obj and np.isfinite(obj.values).all():
         # the whole table in one format call; a table with a non-finite
         # value goes entry by entry, as a Mapping
-        return _table_template(obj.graph, indent) % tuple(obj.values.tolist())
+        values, template = obj.values, _table_template(obj.graph, indent)
+        if len(values) < DISTINCT_FROM:
+            return template % tuple(values.tolist())
+        # nodes pinned at a breakpoint repeat a few exact values: format each
+        # bit pattern once (so -0.0 stays apart from 0.0)
+        bits = values.view(np.int64)
+        order = bits.argsort(kind="stable")   # quick on runs, unlike np.unique
+        run = bits[order]
+        first = np.concatenate(([True], run[1:] != run[:-1]))
+        inverse = np.empty_like(order)
+        inverse[order] = first.cumsum() - 1
+        distinct = values[order[first]].tolist()
+        texts = np.array(("%.17g\0" * len(distinct) % tuple(distinct))
+                         .split("\0"), dtype=object)
+        return template % tuple(texts[inverse].tolist())
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
         items = ",\n".join(f'{pad}  {json.dumps(str(k))}: '
                            f'{render_json(v, indent + 1)}'
                            for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
+        return f"{{\n{items}\n{pad}}}"   # one copy of a large report
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         items = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        return f"[\n{items}\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -85,10 +102,12 @@ def render_human(doc: dict, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8: a temp file in the same directory, given the
-    mode an ordinary write would (that of the file it replaces, else
-    ``0o666 & ~umask``), renamed."""
+def write_atomic(path: str, *parts: str) -> None:
+    """Write ``parts`` as UTF-8, as ``open(path, "w")`` would (through a
+    symlink; the mode of the file it replaces, else ``0o666 & ~umask``):
+    a temp file in the target's directory, given that mode, renamed."""
+    if os.path.islink(path):   # one lstat; realpath takes one per component
+        path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except OSError:   # nothing to replace
@@ -98,7 +117,7 @@ def write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphhvi-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:

@@ -168,6 +168,38 @@ class TestNodeTableRendering:
         for doc in docs + docs:
             assert reports.render_json(doc) == old_render_json(as_dicts(doc))
 
+    @pytest.mark.parametrize("n", [reports.DISTINCT_FROM - 1,
+                                   reports.DISTINCT_FROM,
+                                   reports.DISTINCT_FROM + 7])
+    def test_large_tables(self, n):
+        # around the size from which each distinct value is formatted once;
+        # ids hold directives (also an escaped "%.17g"), quotes and non-ASCII
+        nodes = [*DIRECTIVES, "%"] + [f'{k}%.17g"\u00e9%s'
+                                      for k in range(n - len(DIRECTIVES) - 1)]
+        g = graph_of(nodes)
+        rng = np.random.default_rng(n)
+        repeated = [0.0, -0.0, 5e-324, 0.1, 1e16, -2.5]
+        values = rng.choice(np.array(repeated), n)
+        values[rng.integers(0, n, 20)] = rng.standard_normal(20)
+        column = np.empty((n, 2))
+        column[:, 1] = values[::-1]
+        nonfinite = values.copy()
+        nonfinite[[3, n // 2, n - 1]] = [math.nan, math.inf, -math.inf]
+        tables = [NodeTable(g, values), NodeTable(g, column[:, 1]),
+                  NodeTable(g, nonfinite)]
+        assert not tables[1].values.flags.c_contiguous
+
+        def lines(text):   # lists: a failure shows its first differing line
+            return text.splitlines(True)
+
+        for table in tables + tables:   # the second time from the cache
+            for indent in range(4):
+                assert (lines(reports.render_json(table, indent))
+                        == lines(old_render_json(as_dicts(table), indent)))
+        doc = {"states": tables, "last": {"solution": tables[0]}}
+        assert (lines(reports.render_json(doc))
+                == lines(old_render_json(as_dicts(doc))))
+
     def test_mapping_view(self):
         g = graph_of(["a", "b"])
         table = gh.NodeTable(g, np.array([1.5, -0.0]))
@@ -194,6 +226,24 @@ class TestAtomicWrite:
         assert path.read_text() == "second\n"
         # no temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        # as open() writes: the link stays, its target takes the text and
+        # keeps its mode, and a dangling link creates its target
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to("target.json")
+        reports.write_atomic(str(link), "new\n")
+        assert os.readlink(link) == "target.json"
+        assert target.read_text() == "new\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        dangling, created = tmp_path / "dangling.json", tmp_path / "sub.json"
+        dangling.symlink_to("sub.json")
+        reports.write_atomic(str(dangling), "made", "\n")   # in parts
+        assert dangling.is_symlink() and created.read_text() == "made\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dangling.json", "link.json", "sub.json", "target.json"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_mode_of_an_ordinary_write(self, tmp_path, umask):
