@@ -19,7 +19,7 @@ import numpy as np
 from .graphs import NodeTable, WeightedGraph
 
 SCHEMA_VERSION = 2   # cli.main stamps it as every report's first key
-DISTINCT_FROM = 1000   # node tables this long format each distinct value once
+DISTINCT_FROM = 1000   # node tables this long may format distinct values
 
 
 def _fmt_float(x: float) -> str:
@@ -30,17 +30,16 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _table_template(g: WeightedGraph, indent: int) -> str:
+def _table_template(g: WeightedGraph, indent: int, spec: str) -> str:
     """``template % values`` renders a node table of ``g`` at ``indent``: its
-    ids escaped as ``json.dumps`` does, ``%`` doubled, each value a ``%.17g``
-    (a ``%s`` of its text from ``DISTINCT_FROM`` nodes on); kept on ``g``."""
-    if indent not in g._templates:
+    ids escaped as ``json.dumps`` does, ``%`` doubled, each value a ``spec``
+    (``%.17g`` of a float or ``%s`` of its text); kept on ``g``."""
+    if (indent, spec) not in g._templates:
         pad, escape = "  " * indent, json.encoder.encode_basestring_ascii
-        spec = "%s" if g.num_nodes >= DISTINCT_FROM else "%.17g"
         ids = "\0".join(map(escape, g.nodes))   # no escaped id holds a NUL
         body = ids.replace("%", "%%").replace("\0", f": {spec},\n{pad}  ")
-        g._templates[indent] = f"{{\n{pad}  {body}: {spec}\n{pad}}}"
-    return g._templates[indent]
+        g._templates[indent, spec] = f"{{\n{pad}  {body}: {spec}\n{pad}}}"
+    return g._templates[indent, spec]
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -48,12 +47,14 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, NodeTable) and obj and np.isfinite(obj.values).all():
         # the whole table in one format call; a table with a non-finite
         # value goes entry by entry, as a Mapping
-        values, template = obj.values, _table_template(obj.graph, indent)
-        if len(values) < DISTINCT_FROM:
-            return template % tuple(values.tolist())
-        # nodes pinned at a breakpoint repeat a few exact values: format each
-        # bit pattern once (so -0.0 stays apart from 0.0)
-        bits = values.view(np.int64)
+        values = obj.values
+        bits, n = values.view(np.int64), len(values)   # -0.0 apart from 0.0
+        # at most n / 2 runs of equal values (nodes pinned at a breakpoint)
+        # hold at most n / 2 distinct values: then format each of them once
+        if (n < DISTINCT_FROM
+                or np.count_nonzero(bits[1:] != bits[:-1]) >= n // 2):
+            return (_table_template(obj.graph, indent, "%.17g")
+                    % tuple(values.tolist()))
         order = bits.argsort(kind="stable")   # quick on runs, unlike np.unique
         run = bits[order]
         first = np.concatenate(([True], run[1:] != run[:-1]))
@@ -62,7 +63,8 @@ def render_json(obj, indent: int = 0) -> str:
         distinct = values[order[first]].tolist()
         texts = np.array(("%.17g\0" * len(distinct) % tuple(distinct))
                          .split("\0"), dtype=object)
-        return template % tuple(texts[inverse].tolist())
+        return (_table_template(obj.graph, indent, "%s")
+                % tuple(texts[inverse].tolist()))
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
@@ -110,7 +112,7 @@ def write_atomic(path: str, *parts: str) -> None:
         path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
-    except OSError:   # nothing to replace
+    except FileNotFoundError:   # nothing to replace; a link loop raises
         os.umask(umask := os.umask(0))   # reading the umask means setting it
         mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))

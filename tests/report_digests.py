@@ -1,6 +1,6 @@
 """SHA-256 of every benchmark report, one line each.
 
-    PYTHONPATH=src python3 tests/report_digests.py
+    PYTHONPATH=src python3 tests/report_digests.py [--float-tables]
 
 Builds the inputs of every workload in ``bench/workloads.py`` in a
 temporary directory, runs each workload's warm-ups and then one pass of its
@@ -9,6 +9,9 @@ operations through ``graphhvi.cli.main`` in this process, and prints
 workload inputs do not depend on the seed, so one fixed seed is used.  Two
 checkouts write the same bytes when their outputs are identical, so a
 change that must keep every report can be checked with one ``diff``.
+With ``--float-tables`` every node table is formatted from its floats
+(``reports.DISTINCT_FROM`` above any table), so a ``diff`` against the
+default output checks the distinct-value path on the installed numpy.
 Pytest does not collect this file.
 """
 
@@ -23,7 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402
-from graphhvi import cli  # noqa: E402
+from graphhvi import cli, reports  # noqa: E402
 
 SEED = 3
 
@@ -45,6 +48,10 @@ def run(op, root: str) -> tuple[int, str]:
 
 
 def main() -> int:
+    if sys.argv[1:] == ["--float-tables"]:
+        reports.DISTINCT_FROM = sys.maxsize
+    elif sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--float-tables]")
     for name, make in workloads.WORKLOADS.items():
         wl = make(SEED)
         with tempfile.TemporaryDirectory() as root:

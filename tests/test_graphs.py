@@ -173,12 +173,13 @@ class TestJsonIds:
     def test_equal_json_dumps(self):
         g = gh.from_data([(v, 1.0, 1.0) for v in self.IDS], [])
         x = [0.1 * k - 0.5 for k in range(len(self.IDS))]
-        text = reports._table_template(g, 1) % tuple(x)
-        assert text == ("{\n" + ",\n".join(f"    {json.dumps(v)}: {t:.17g}"
-                                           for v, t in zip(self.IDS, x))
-                        + "\n  }")
-        assert list(json.loads(text).items()) == list(zip(self.IDS, x))
-        assert reports._table_template(g, 1) is g._templates[1]
+        for spec, fill in [("%.17g", x), ("%s", ["%.17g" % t for t in x])]:
+            text = reports._table_template(g, 1, spec) % tuple(fill)
+            assert text == ("{\n" + ",\n".join(f"    {json.dumps(v)}: {t:.17g}"
+                                               for v, t in zip(self.IDS, x))
+                            + "\n  }")
+            assert list(json.loads(text).items()) == list(zip(self.IDS, x))
+            assert reports._table_template(g, 1, spec) is g._templates[1, spec]
 
 
 class TestMetricStructure:

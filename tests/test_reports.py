@@ -1,5 +1,6 @@
 """Deterministic report rendering and atomic output."""
 
+import errno
 import json
 import math
 import os
@@ -172,21 +173,23 @@ class TestNodeTableRendering:
                                    reports.DISTINCT_FROM,
                                    reports.DISTINCT_FROM + 7])
     def test_large_tables(self, n):
-        # around the size from which each distinct value is formatted once;
-        # ids hold directives (also an escaped "%.17g"), quotes and non-ASCII
+        # around the size from which each distinct value may be formatted
+        # once; ids hold directives (also an escaped "%.17g"), quotes and
+        # non-ASCII text
         nodes = [*DIRECTIVES, "%"] + [f'{k}%.17g"\u00e9%s'
                                       for k in range(n - len(DIRECTIVES) - 1)]
         g = graph_of(nodes)
         rng = np.random.default_rng(n)
         repeated = [0.0, -0.0, 5e-324, 0.1, 1e16, -2.5]
-        values = rng.choice(np.array(repeated), n)
-        values[rng.integers(0, n, 20)] = rng.standard_normal(20)
+        scattered = rng.choice(np.array(repeated), n)   # runs of about 1.2
+        scattered[rng.integers(0, n, 20)] = rng.standard_normal(20)
+        in_runs = np.sort(scattered)[::-1]   # -0.0 and 0.0 in one run
         column = np.empty((n, 2))
-        column[:, 1] = values[::-1]
-        nonfinite = values.copy()
+        column[:, 1] = in_runs
+        nonfinite = in_runs.copy()
         nonfinite[[3, n // 2, n - 1]] = [math.nan, math.inf, -math.inf]
-        tables = [NodeTable(g, values), NodeTable(g, column[:, 1]),
-                  NodeTable(g, nonfinite)]
+        tables = [NodeTable(g, in_runs), NodeTable(g, column[:, 1]),
+                  NodeTable(g, scattered), NodeTable(g, nonfinite)]
         assert not tables[1].values.flags.c_contiguous
 
         def lines(text):   # lists: a failure shows its first differing line
@@ -196,6 +199,14 @@ class TestNodeTableRendering:
             for indent in range(4):
                 assert (lines(reports.render_json(table, indent))
                         == lines(old_render_json(as_dicts(table), indent)))
+        # the table in runs formats its distinct values, the scattered
+        # one its floats, and a small one always its floats
+        large = n >= reports.DISTINCT_FROM
+        for table, spec in [(tables[0], "%s" if large else "%.17g"),
+                            (tables[2], "%.17g")]:
+            g._templates.clear()
+            reports.render_json(table)
+            assert list(g._templates) == [(0, spec)]
         doc = {"states": tables, "last": {"solution": tables[0]}}
         assert (lines(reports.render_json(doc))
                 == lines(old_render_json(as_dicts(doc))))
@@ -242,8 +253,16 @@ class TestAtomicWrite:
         dangling.symlink_to("sub.json")
         reports.write_atomic(str(dangling), "made", "\n")   # in parts
         assert dangling.is_symlink() and created.read_text() == "made\n"
+        loop_a, loop_b = tmp_path / "a.json", tmp_path / "b.json"
+        loop_a.symlink_to("b.json")
+        loop_b.symlink_to("a.json")
+        with pytest.raises(OSError) as exc:   # as open() raises
+            reports.write_atomic(str(loop_a), "never\n")
+        assert exc.value.errno == errno.ELOOP
+        assert os.readlink(loop_a) == "b.json"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "dangling.json", "link.json", "sub.json", "target.json"]
+            "a.json", "b.json", "dangling.json", "link.json", "sub.json",
+            "target.json"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_mode_of_an_ordinary_write(self, tmp_path, umask):
