@@ -231,7 +231,7 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
                                                   [*radii, math.inf])):
         raise ValueError("radii must be nonempty, positive, finite and "
                          f"strictly increasing: {radii}")
-    if not 0 < eps < math.inf:
+    if not (_finite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite: {eps}")
     graphs, node_depth, dist = _balls(gen, radii)
     f_depth = [f_law(d) for d in range(node_depth[-1] + 1)]
@@ -256,12 +256,12 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
         out = dist[:g.num_nodes] >= (radii[i - 1] if i else r / 2.0)
         tails.append(_weighted_lp(rep.phi[out], g.mu[out], 2.0))
         if not rep.converged:
-            return ExhaustionReport(radii[:i + 1], reports, graphs[:i + 1],
-                                    increments, tails, converged=False)
+            break
         prev_phi = rep.phi
-    converged = (len(increments) >= 1 and increments[-1] < eps
+    k = len(reports)
+    converged = (k > 1 and reports[-1].converged and increments[-1] < eps
                  and tails[-1] < eps)
-    return ExhaustionReport(radii, reports, graphs, increments, tails,
+    return ExhaustionReport(radii[:k], reports, graphs[:k], increments, tails,
                             converged)
 
 

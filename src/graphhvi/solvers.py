@@ -26,7 +26,7 @@ from .calculus import _check_nodes, inner_product_nodes, lp_norm_nodes
 # sobolev_norms is not used here: the elliptic report calls it as
 # solvers.sobolev_norms, the name the benchmark's calculus.norms span wraps
 from .calculus import sobolev_norms  # noqa: F401
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _finite
 from .operators import (EXACT_TOL, AssembledOperator, OperatorConstants,
                         _pcg, apply, assemble, bilinear_form, constants)
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify
@@ -65,8 +65,9 @@ class ParabolicProblem:
                 or not isinstance(self.steps, numbers.Integral)):
             raise ValueError(f"steps must be an integer, not {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))  # numpy ints wrap
-        if not (0 < self.T < math.inf and self.steps > 0):
+        if not (_finite(self.T) and self.T > 0 and self.steps > 0):
             raise ValueError("need finite T > 0 and steps > 0")
+        object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))
         f = np.asarray(self.f, dtype=float)
         n = self.graph.num_nodes
@@ -76,7 +77,8 @@ class ParabolicProblem:
         if f.shape == (n,):
             f = np.broadcast_to(f, (self.steps, n))
         elif f.shape != (self.steps, n):
-            raise ValueError(f"f table must have shape ({self.steps}, {n})")
+            raise ValueError(f"f table must have shape ({self.steps}, {n}):"
+                             " one f_table row per step")
         object.__setattr__(self, "f", f)
         tau = self.T / self.steps   # as solve_parabolic computes it
         with np.errstate(over="ignore", divide="ignore"):
@@ -126,10 +128,9 @@ class SolverOptions:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
-        if (isinstance(self.tol, bool)
-                or not isinstance(self.tol, numbers.Real)
-                or not 0 < self.tol < math.inf):  # also rejects NaN
+        if not (_finite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "tol", float(self.tol))
         if (isinstance(self.max_inner, bool)
                 or not isinstance(self.max_inner, numbers.Integral)
                 or self.max_inner < 0):

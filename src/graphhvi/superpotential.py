@@ -377,6 +377,10 @@ class SuperpotentialSchedule:
     def __post_init__(self):
         if len(self.untils) != len(self.sps) or not self.sps:
             raise ValueError("schedule needs matching, nonempty lists")
+        if not all(map(_finite, self.untils)):
+            raise ValueError("malformed schedule: each 'until' must be a "
+                             f"finite number, not {self.untils!r}")
+        object.__setattr__(self, "untils", tuple(map(float, self.untils)))
         if any(b <= a for a, b in zip(self.untils, self.untils[1:])):
             raise ValueError("schedule 'until' times must increase")
 
@@ -408,9 +412,8 @@ def schedule_from_document(entries: list) -> SuperpotentialSchedule:
         raise ValueError("a schedule must be a list of entries")
     untils, sps = [], []
     for rec in entries:
-        if (not isinstance(rec, dict) or set(rec) != {"until", "density"}
-                or not _finite(rec["until"])):
+        if not isinstance(rec, dict) or set(rec) != {"until", "density"}:
             raise ValueError(f"malformed schedule entry: {rec!r}")
-        untils.append(float(rec["until"]))
+        untils.append(rec["until"])
         sps.append(from_document(rec["density"]))
     return SuperpotentialSchedule(tuple(untils), tuple(sps))

@@ -427,7 +427,7 @@ class TestExhaust:
                       [0, 2], [-1, 2]):
             with pytest.raises(ValueError, match="radii"):
                 exhaust(gen, sp, f, radii, 1e-6)
-        for eps in (math.nan, math.inf, -1.0):
+        for eps in (math.nan, math.inf, -1.0, True, 10**400):
             with pytest.raises(ValueError, match="eps"):
                 exhaust(gen, sp, f, [2, 4], eps)
 

@@ -644,10 +644,16 @@ class TestParabolic:
 
     def test_validation(self):
         g = single_node()
-        for T in (0.0, math.nan, math.inf):
+        for T in (0.0, math.nan, math.inf, True, "1", 10**400):
             with pytest.raises(ValueError, match="T > 0"):
                 ParabolicProblem(graph=g, sp=quad_density(), f=np.zeros(1),
                                  phi0=np.zeros(1), T=T, steps=4)
+        # an integer T is taken as the float it rounds to
+        big = [solve_parabolic(ParabolicProblem(
+            graph=g, sp=quad_density(), f=np.ones(1), phi0=np.ones(1),
+            T=T, steps=4)) for T in (10**300, 1e300)]
+        assert big[0].times.tobytes() == big[1].times.tobytes()
+        assert big[0].states.tobytes() == big[1].states.tobytes()
         with pytest.raises(ValueError, match="f table"):
             ParabolicProblem(graph=g, sp=quad_density(),
                              f=np.zeros((3, 2)), phi0=np.zeros(1),
@@ -772,7 +778,8 @@ class TestParabolicReference:
 
 class TestOptions:
     def test_validation(self):
-        for tol in (0.0, math.nan, math.inf, True, np.True_, "1e-8", None):
+        for tol in (0.0, math.nan, math.inf, True, np.True_, "1e-8", None,
+                    10**400):
             with pytest.raises(ValueError, match="tol"):
                 SolverOptions(tol=tol)
         for max_inner in (-1, 1.5, True, np.True_, np.float64(5.0),

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 from numpy.polynomial import polyutils as pu
 
-from graphhvi.superpotential import (PiecewiseDensity, _antider, _der,
-                                     _ratio_numerator, _real_roots, _trim,
-                                     build, from_document, growth_certificate,
-                                     mollify, relaxed_monotonicity_constant,
+from graphhvi.superpotential import (PiecewiseDensity, SuperpotentialSchedule,
+                                     _antider, _der, _ratio_numerator,
+                                     _real_roots, _trim, build, from_document,
+                                     growth_certificate, mollify,
+                                     relaxed_monotonicity_constant,
                                      schedule_from_document)
 
 from conftest import (abs_density, clarke_interval, down_jump_density,
@@ -578,6 +579,9 @@ class TestDocuments:
             with pytest.raises(ValueError, match="malformed schedule"):
                 schedule_from_document([{"until": until, "density": {
                     "breakpoints": [], "pieces": [[1.0]]}}])
+        with pytest.raises(ValueError, match="malformed schedule"):
+            SuperpotentialSchedule((math.nan, 1.0),
+                                   (quad_density(), quad_density()))
         with pytest.raises(ValueError, match="increase"):
             schedule_from_document([
                 {"until": 1.0, "density": {"breakpoints": [],
