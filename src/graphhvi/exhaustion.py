@@ -147,10 +147,17 @@ def _layout(kind: str, depth: int) -> tuple:
     c = np.arange(-depth, depth + 1)
     inside = np.abs(c)[:, None] + np.abs(c) <= depth
     x, y = (v[inside] for v in np.meshgrid(c, c))
-    names = np.array(list(map(str, c)))
-    ids = np.char.add(np.char.add(names, ",")[x + depth], names[y + depth])
-    order = np.lexsort((ids, np.abs(x) + np.abs(y)))
-    ids, x, y = ids[order], x[order], y[order]
+    # the ids "x,y" sort as the pairs (str(x), str(y)), since "," sorts
+    # below every digit: order by depth, then by those texts' ranks
+    names, w = list(map(str, c.tolist())), len(c)
+    rank = np.empty(w, dtype=np.intp)
+    rank[sorted(range(w), key=names.__getitem__)] = np.arange(w)
+    order = np.argsort(((np.abs(x) + np.abs(y)) * w + rank[x + depth]) * w
+                       + rank[y + depth])
+    x, y = x[order], y[order]
+    names = np.array(names, dtype=object)
+    ids = list(map(",".join, zip(names[x + depth].tolist(),
+                                 names[y + depth].tolist())))
     node_depth = np.abs(x) + np.abs(y)
     grid = np.empty((2 * depth + 1, 2 * depth + 1), dtype=np.intp)
     grid[x, y] = np.arange(len(x))    # negative coordinates from the end
@@ -160,7 +167,7 @@ def _layout(kind: str, depth: int) -> tuple:
     x, y = x[:m, None], y[:m, None]
     has = np.hstack((x >= 0, x <= 0, y >= 0, y <= 0))
     b = grid[(x + [1, -1, 0, 0])[has], (y + [0, 0, 1, -1])[has]]
-    return ids.tolist(), node_depth, np.nonzero(has)[0], b
+    return ids, node_depth, np.nonzero(has)[0], b
 
 
 def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray, np.ndarray]:
@@ -185,8 +192,12 @@ def _balls(gen: GraphGenerator, radii) -> tuple[list, np.ndarray, np.ndarray]:
     rho, gamma = (_depth_weights(gen, w, depth) for w in ("rho", "gamma"))
     node_dist = np.concatenate(([0.0], np.cumsum(rho)))[node_depth]
     rho, gamma = rho[edge_depth], gamma[edge_depth]
-    balls = [WeightedGraph.undirected(ids[:k], mu[:k], kappa[:k], a[:m],
-                                      b[:m], rho[:m], gamma[:m])
+    # a smaller ball is a prefix of the largest: its first k nodes and the
+    # 2m directed edges of its first m adjacencies
+    g = WeightedGraph.undirected(ids, mu, kappa, a, b, rho, gamma)
+    balls = [WeightedGraph(g.nodes[:k], g.mu[:k], g.kappa[:k],
+                           g.edge_src[:2 * m], g.edge_dst[:2 * m],
+                           g.rho[:2 * m], g.gamma[:2 * m])
              for k, m in zip(np.searchsorted(node_depth, cuts, side="right"),
                              np.searchsorted(edge_depth, cuts))]
     return balls, node_depth, node_dist

@@ -52,7 +52,7 @@ class WeightedGraph:
     rho: np.ndarray
     gamma: np.ndarray
     _templates: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)   # reports' node-table templates
+                             compare=False)   # reports' node-table texts
 
     def __post_init__(self):
         for arr in (self.mu, self.kappa, self.edge_src, self.edge_dst,

@@ -9,7 +9,7 @@ C = diag(kappa) and M = diag(mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,6 +27,15 @@ EXACT_TOL = 1e-13   # where a linear solve that finishes a nonsmooth one stops
 class AssembledOperator:
     graph: WeightedGraph
     stiffness: sparse.csr_matrix   # K, symmetric PSD, zero row sums
+    _block: list = field(default_factory=lambda: [None, None], init=False,
+                         repr=False, compare=False)   # the last block()
+
+    def block(self, free: np.ndarray) -> sparse.csr_matrix:
+        """``K[free][:, free]``, kept for the last ``free`` asked for: the
+        free set of an implicit-Euler step often repeats the last one's."""
+        if not np.array_equal(self._block[0], free):
+            self._block[:] = free, self.stiffness[free][:, free]
+        return self._block[1]
 
 
 @dataclass(frozen=True)

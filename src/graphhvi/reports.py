@@ -30,31 +30,47 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _table_template(g: WeightedGraph, indent: int, spec: str) -> str:
-    """``template % values`` renders a node table of ``g`` at ``indent``: its
-    ids escaped as ``json.dumps`` does, ``%`` doubled, each value a ``spec``
-    (``%.17g`` of a float or ``%s`` of its text); kept on ``g``."""
-    if (indent, spec) not in g._templates:
-        pad, escape = "  " * indent, json.encoder.encode_basestring_ascii
-        ids = "\0".join(map(escape, g.nodes))   # no escaped id holds a NUL
-        body = ids.replace("%", "%%").replace("\0", f": {spec},\n{pad}  ")
-        g._templates[indent, spec] = f"{{\n{pad}  {body}: {spec}\n{pad}}}"
-    return g._templates[indent, spec]
+def _table_text(g: WeightedGraph, indent: int) -> str:
+    """A node table of ``g`` at ``indent`` with a NUL for each value: its ids
+    escaped as ``json.dumps`` does, so that none holds a NUL."""
+    pad, escape = "  " * indent, json.encoder.encode_basestring_ascii
+    ids = "\0".join(map(escape, g.nodes)).replace("\0", f": \0,\n{pad}  ")
+    return f"{{\n{pad}  {ids}: \0\n{pad}}}"
+
+
+def _float_template(g: WeightedGraph, indent: int) -> str:
+    """``template % floats`` renders a node table of ``g`` at ``indent``: its
+    text with ``%`` doubled and each value a ``%.17g``; kept on ``g``."""
+    key = "%.17g", indent
+    if key not in g._templates:
+        g._templates[key] = (_table_text(g, indent).replace("%", "%%")
+                             .replace("\0", "%.17g"))
+    return g._templates[key]
+
+
+def _id_fragments(g: WeightedGraph, indent: int) -> list:
+    """``"".join`` of a copy of this list with the value texts in its odd
+    slots (``None`` here) renders a node table of ``g`` at ``indent``; kept
+    on ``g``."""
+    key = "join", indent
+    if key not in g._templates:
+        g._templates[key] = [None] * (2 * g.num_nodes + 1)
+        g._templates[key][::2] = _table_text(g, indent).split("\0")
+    return g._templates[key]
 
 
 def render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, NodeTable) and obj and np.isfinite(obj.values).all():
-        # the whole table in one format call; a table with a non-finite
-        # value goes entry by entry, as a Mapping
+        # the whole table in one format call or join; a table with a
+        # non-finite value goes entry by entry, as a Mapping
         values = obj.values
         bits, n = values.view(np.int64), len(values)   # -0.0 apart from 0.0
         # at most n / 2 runs of equal values (nodes pinned at a breakpoint)
         # hold at most n / 2 distinct values: then format each of them once
         if (n < DISTINCT_FROM
                 or np.count_nonzero(bits[1:] != bits[:-1]) >= n // 2):
-            return (_table_template(obj.graph, indent, "%.17g")
-                    % tuple(values.tolist()))
+            return _float_template(obj.graph, indent) % tuple(values.tolist())
         order = bits.argsort(kind="stable")   # quick on runs, unlike np.unique
         run = bits[order]
         first = np.concatenate(([True], run[1:] != run[:-1]))
@@ -63,8 +79,9 @@ def render_json(obj, indent: int = 0) -> str:
         distinct = values[order[first]].tolist()
         texts = np.array(("%.17g\0" * len(distinct) % tuple(distinct))
                          .split("\0"), dtype=object)
-        return (_table_template(obj.graph, indent, "%s")
-                % tuple(texts[inverse].tolist()))
+        parts = _id_fragments(obj.graph, indent).copy()
+        parts[1::2] = texts[inverse].tolist()
+        return "".join(parts)
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"

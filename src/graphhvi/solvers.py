@@ -9,7 +9,8 @@ linearisation on the free nodes by CG, loosely far from the solution.
 
 The parabolic path is implicit Euler: every time step is the elliptic
 problem with ``kappa + mu/tau`` and load ``f + phi_prev/tau``, solved by the
-same core on an operator assembled once per trajectory.
+same core on an operator assembled once per trajectory; the operator keeps
+the free nodes' block of ``K`` while the free set repeats across steps.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def _solve(opr: AssembledOperator, sp: Superpotential, f: np.ndarray,
         x = phi[free]
         r = mu[free] * (density.value(x, piece) - target[free])
         diag = kappa[free] + mu[free] * density.derivative(x, piece)
-        Kf = K if len(free) == n else K[free][:, free]
+        Kf = K if len(free) == n else opr.block(free)
         left, right = ends[piece], ends[piece + 1]
 
         def finishing(dx):

@@ -1,6 +1,6 @@
 """SHA-256 of every benchmark report, one line each.
 
-    PYTHONPATH=src python3 tests/report_digests.py [--float-tables]
+    PYTHONPATH=src python3 tests/report_digests.py [--float-tables | --distinct-tables]
 
 Builds the inputs of every workload in ``bench/workloads.py`` in a
 temporary directory, runs each workload's warm-ups and then one pass of its
@@ -12,6 +12,9 @@ change that must keep every report can be checked with one ``diff``.
 With ``--float-tables`` every node table is formatted from its floats
 (``reports.DISTINCT_FROM`` above any table), so a ``diff`` against the
 default output checks the distinct-value path on the installed numpy.
+With ``--distinct-tables`` (``reports.DISTINCT_FROM`` 0) every node table
+whose values form at most n / 2 runs is formatted from its distinct values,
+small tables included, so a ``diff`` checks that path on every report.
 Pytest does not collect this file.
 """
 
@@ -50,8 +53,10 @@ def run(op, root: str) -> tuple[int, str]:
 def main() -> int:
     if sys.argv[1:] == ["--float-tables"]:
         reports.DISTINCT_FROM = sys.maxsize
+    elif sys.argv[1:] == ["--distinct-tables"]:
+        reports.DISTINCT_FROM = 0
     elif sys.argv[1:]:
-        sys.exit(f"usage: {sys.argv[0]} [--float-tables]")
+        sys.exit(f"usage: {sys.argv[0]} [--float-tables | --distinct-tables]")
     for name, make in workloads.WORKLOADS.items():
         wl = make(SEED)
         with tempfile.TemporaryDirectory() as root:

@@ -173,13 +173,15 @@ class TestJsonIds:
     def test_equal_json_dumps(self):
         g = gh.from_data([(v, 1.0, 1.0) for v in self.IDS], [])
         x = [0.1 * k - 0.5 for k in range(len(self.IDS))]
-        for spec, fill in [("%.17g", x), ("%s", ["%.17g" % t for t in x])]:
-            text = reports._table_template(g, 1, spec) % tuple(fill)
+        parts = reports._id_fragments(g, 1).copy()
+        parts[1::2] = ["%.17g" % t for t in x]
+        for text in [reports._float_template(g, 1) % tuple(x), "".join(parts)]:
             assert text == ("{\n" + ",\n".join(f"    {json.dumps(v)}: {t:.17g}"
                                                for v, t in zip(self.IDS, x))
                             + "\n  }")
             assert list(json.loads(text).items()) == list(zip(self.IDS, x))
-            assert reports._table_template(g, 1, spec) is g._templates[1, spec]
+        assert reports._float_template(g, 1) is g._templates["%.17g", 1]
+        assert reports._id_fragments(g, 1) is g._templates["join", 1]
 
 
 class TestMetricStructure:

@@ -199,14 +199,15 @@ class TestNodeTableRendering:
             for indent in range(4):
                 assert (lines(reports.render_json(table, indent))
                         == lines(old_render_json(as_dicts(table), indent)))
-        # the table in runs formats its distinct values, the scattered
-        # one its floats, and a small one always its floats
+        # the table in runs joins its distinct values' texts, the
+        # scattered one fills the float template, and a small one always
+        # the float template
         large = n >= reports.DISTINCT_FROM
-        for table, spec in [(tables[0], "%s" if large else "%.17g"),
+        for table, path in [(tables[0], "join" if large else "%.17g"),
                             (tables[2], "%.17g")]:
             g._templates.clear()
             reports.render_json(table)
-            assert list(g._templates) == [(0, spec)]
+            assert list(g._templates) == [(path, 0)]
         doc = {"states": tables, "last": {"solution": tables[0]}}
         assert (lines(reports.render_json(doc))
                 == lines(old_render_json(as_dicts(doc))))

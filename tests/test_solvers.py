@@ -12,7 +12,7 @@ import graphhvi as gh
 import graphhvi.solvers
 from graphhvi.calculus import lp_norm_nodes
 from graphhvi.exhaustion import GraphGenerator, WeightLaw, truncate
-from graphhvi.operators import apply, assemble
+from graphhvi.operators import AssembledOperator, apply, assemble
 from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
                               SolverOptions, certify,
                               default_certificate_range, energy,
@@ -20,7 +20,7 @@ from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
                               sum_directional_bound, sum_functional,
                               verify_inclusion)
 from graphhvi.operators import EXACT_TOL
-from graphhvi.solvers import _measure
+from graphhvi.solvers import _measure, _solve
 from graphhvi.superpotential import PiecewiseDensity, build
 
 from conftest import (abs_density, clarke_interval, down_jump_density,
@@ -774,6 +774,85 @@ class TestParabolicReference:
                 == [r.residual_norm for r in reports])
         assert ([r.iterations for r in res.reports]
                 == [r.iterations for r in reports])
+
+
+class TestFreeBlockMemo:
+    """``AssembledOperator.block`` keeps the block of the last free set
+    asked for; a solve must not depend on what it held before."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """``(solve, free)`` for each free set asked of ``block``, ``solve``
+        counting the ``_solve`` calls so far."""
+        calls, solves = [], []
+        block, solve = AssembledOperator.block, graphhvi.solvers._solve
+
+        def recording_block(self, free):
+            calls.append((len(solves), free.copy()))
+            return block(self, free)
+
+        def recording_solve(*args):
+            solves.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(AssembledOperator, "block", recording_block)
+        monkeypatch.setattr(graphhvi.solvers, "_solve", recording_solve)
+        return calls
+
+    def test_parabolic_matches_a_cleared_memo(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        g = make_random_graph(rng, max_nodes=25, min_nodes=10)
+        n, steps = g.num_nodes, 6
+        problem = ParabolicProblem(graph=g, sp=density(ABS),
+                                   f=rng.uniform(-2.0, 2.0, n),
+                                   phi0=rng.uniform(-1.0, 1.0, n),
+                                   T=1.0, steps=steps)
+        calls = self.record_blocks(monkeypatch)
+        res = solve_parabolic(problem)
+        monkeypatch.undo()
+        assert res.converged and len(res.reports) == steps
+        # a step's first free set repeats the last one of a step before
+        assert any(k < m and np.array_equal(a, b)
+                   for (k, a), (m, b) in zip(calls, calls[1:]))
+        # the same steps, with the memo cleared before each
+        tau = problem.T / steps
+        opr = assemble(dataclasses.replace(g, kappa=g.kappa + g.mu / tau))
+        states, norms = [problem.phi0], []
+        for k in range(steps):
+            opr._block[:] = None, None
+            rep = _solve(opr, problem.sp, problem.f[k] + states[-1] / tau,
+                         states[-1].copy(), SolverOptions())
+            states.append(rep.phi)
+            norms.append(rep.residual_norm)
+        assert res.states.tobytes() == np.array(states).tobytes()
+        assert [r.residual_norm for r in res.reports] == norms
+
+    def test_elliptic_free_set_changes(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        g = make_random_graph(rng, max_nodes=12, min_nodes=4)
+        n = g.num_nodes
+        f = rng.uniform(-3.0, 3.0, n)
+        calls = self.record_blocks(monkeypatch)
+        opr = assemble(g)
+        rep = _solve(opr, density(ABS), f, np.zeros(n), SolverOptions())
+        monkeypatch.undo()
+        assert rep.converged
+        # two consecutive free sets of one size and different members
+        frees = [free for _, free in calls]
+        assert any(len(a) == len(b) and not np.array_equal(a, b)
+                   for a, b in zip(frees, frees[1:]))
+        # the same solve, the block sliced afresh on every step
+        monkeypatch.setattr(AssembledOperator, "block",
+                            lambda self, free: self.stiffness[free][:, free])
+        ref = _solve(assemble(g), density(ABS), f, np.zeros(n),
+                     SolverOptions())
+        assert rep.phi.tobytes() == ref.phi.tobytes()
+        assert rep.iterations == ref.iterations
+        # the memo holds one block: the last free set's
+        last, block = opr._block
+        assert np.array_equal(last, frees[-1])
+        assert block.shape == (len(last),) * 2
+        assert (block != opr.stiffness[last][:, last]).nnz == 0
 
 
 class TestOptions:
