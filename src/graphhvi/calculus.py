@@ -12,15 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, distances_from
-
-
-def _check_nodes(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (g.num_nodes,):
-        raise ValueError(f"node function shape {phi.shape} does not match "
-                         f"graph with {g.num_nodes} nodes")
-    return phi
+from .graphs import WeightedGraph, _check_nodes, distances_from
 
 
 def _check_edges(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
@@ -38,7 +30,7 @@ def difference(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
 
 
 def _weighted_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    if p < 1:
+    if not p >= 1:   # also NaN
         raise ValueError("p must be >= 1 (or inf)")
     a = np.abs(values)
     s = math.ldexp(1.0, math.frexp(a.max(initial=0.0))[1] - 1)

@@ -18,28 +18,12 @@ import numpy as np
 
 from . import exhaustion, operators, reports, solvers, superpotential
 from .calculus import lp_norm_nodes
-from .graphs import NodeTable, degrees, load_graph, node_function, volume
+from .graphs import (NodeTable, _read_json, degrees, load_graph,
+                     node_function, volume)
 
 
 class InputError(ValueError):
     """Bad command-line input or malformed input file."""
-
-
-def _load_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _load_superpotential(doc, base_dir: str):
-    """Inline object or a path relative to the problem file."""
-    if isinstance(doc, str):
-        doc = _load_json(os.path.join(base_dir, doc))
-    return superpotential.from_document(doc)
 
 
 _PROBLEM_KEYS = {"graph", "superpotential", "f", "parabolic", "solver"}
@@ -48,20 +32,32 @@ _SOLVER_KEYS = {"tol", "max_inner"}
 
 
 def _checked(what: str, fn, *args):
-    """``fn(*args)``; a read or value error from it names ``what``."""
+    """``fn(*args)``; a read, JSON or value error from it names ``what``."""
     try:
         return fn(*args)
     except OSError as exc:
         raise InputError(f"{what}: cannot read ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what}: invalid JSON ({exc})") from exc
     except ValueError as exc:
         raise InputError(f"{what}: {exc}") from exc
+
+
+def _load_superpotential(doc, path: str):
+    """Inline object in the file ``path``, or a path relative to its
+    directory; an error names the field or that file."""
+    what = f"{path}: superpotential"
+    if isinstance(doc, str):
+        what = os.path.join(os.path.dirname(os.path.abspath(path)), doc)
+        doc = _checked(what, _read_json, what)
+    return _checked(what, superpotential.from_document, doc)
 
 
 def load_problem(path: str, tol: float | None = None):
     """Parse a problem file; returns (graph, sp, f, parabolic dict or None,
     SolverOptions).  ``tol``, when given, overrides the file's
     ``solver.tol``."""
-    doc = _load_json(path)
+    doc = _checked(path, _read_json, path)
     base = os.path.dirname(os.path.abspath(path))
     if not isinstance(doc, dict):
         raise InputError(f"{path}: problem document must be an object")
@@ -74,7 +70,7 @@ def load_problem(path: str, tol: float | None = None):
     if not isinstance(doc["graph"], str):
         raise InputError(f"{path}: 'graph' must be a file name")
     g = _checked(doc["graph"], load_graph, os.path.join(base, doc["graph"]))
-    sp = _load_superpotential(doc["superpotential"], base)
+    sp = _load_superpotential(doc["superpotential"], path)
     f = _checked(f"{path}: load f", node_function, g, doc["f"])
 
     solver = doc.get("solver", {})
@@ -177,7 +173,7 @@ def cmd_solve_parabolic(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     g, sp, f, _, _ = load_problem(args.problem)
-    phi = _checked(args.phi, node_function, g, _load_json(args.phi))
+    phi = _checked(args.phi, lambda: node_function(g, _read_json(args.phi)))
     resid = solvers.verify_inclusion(g, sp, phi, f)
     return {
         "residual_norm": lp_norm_nodes(g, resid, 2.0),
@@ -186,13 +182,12 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_exhaust(args) -> tuple[dict, int]:
-    doc = _load_json(args.generator)
+    doc = _checked(args.generator, _read_json, args.generator)
     gen, f_law = _checked(args.generator,
                           exhaustion.generator_from_document, doc)
     if "superpotential" not in doc:
         raise InputError(f"{args.generator}: missing 'superpotential'")
-    sp = _load_superpotential(doc["superpotential"],
-                              os.path.dirname(os.path.abspath(args.generator)))
+    sp = _load_superpotential(doc["superpotential"], args.generator)
     radii = _checked(f"bad --radii list {args.radii!r}",
                      lambda: [float(r) for r in args.radii.split(",")])
     rep = exhaustion.exhaust(gen, sp, f_law, radii, args.eps)

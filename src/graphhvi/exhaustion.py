@@ -105,11 +105,7 @@ class GraphGenerator:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
         for name in _WEIGHTS:
-            law = getattr(self, name)
-            for d in range(4):
-                if law(d) <= 0:
-                    raise ValueError(f"weight law {name} not positive at "
-                                     f"depth {d}")
+            _depth_weights(self, name, 4)
 
 
 def _depth_weights(gen: GraphGenerator, name: str, n: int) -> np.ndarray:

@@ -189,11 +189,16 @@ def _record_columns(recs: list, keys: tuple, kind: str) -> tuple:
     return cols, lambda i: tuple(c[i] for c in cols)
 
 
+def _read_json(path: str):
+    """The JSON document in the UTF-8 file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_graph(document) -> WeightedGraph:
     """Parse a graph from a JSON document (a dict, or a UTF-8 file path)."""
     if isinstance(document, str):
-        with open(document, encoding="utf-8") as fh:
-            document = json.load(fh)
+        document = _read_json(document)
     if not isinstance(document, dict):
         raise GraphFormatError("graph document must be a JSON object")
     extra = set(document) - _TOP_KEYS
@@ -207,6 +212,15 @@ def load_graph(document) -> WeightedGraph:
     adjacencies = _record_columns(document.get("adjacencies", []),
                                   ("a", "b", "rho", "gamma"), "adjacency")
     return _from_columns(nodes, lambda: adjacencies)
+
+
+def _check_nodes(g: WeightedGraph, phi) -> np.ndarray:
+    """``phi`` as a float vector with one entry per node of ``g``."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (g.num_nodes,):
+        raise GraphFormatError(f"node function shape {phi.shape} does not "
+                               f"match graph with {g.num_nodes} nodes")
+    return phi
 
 
 def node_function(g: WeightedGraph, values) -> np.ndarray:
@@ -229,10 +243,7 @@ def node_function(g: WeightedGraph, values) -> np.ndarray:
                 f"extra={sorted(extra)}")
     if isinstance(values, (list, tuple)):
         values = _floats(values)
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (g.num_nodes,):
-        raise GraphFormatError(
-            f"node function has shape {arr.shape}, expected ({g.num_nodes},)")
+    arr = _check_nodes(g, values)
     if not np.all(np.isfinite(arr)):
         raise GraphFormatError("node function values must be finite numbers")
     return arr

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calculus import _check_nodes, difference, lp_norm_edges, lp_norm_nodes
-from .graphs import WeightedGraph
+from .calculus import difference, lp_norm_edges, lp_norm_nodes
+from .graphs import WeightedGraph, _check_nodes
 
 if TYPE_CHECKING:   # annotations only; assemble imports scipy when it runs
     from scipy import sparse

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _check_nodes, inner_product_nodes, lp_norm_nodes
+from .calculus import inner_product_nodes, lp_norm_nodes
 # sobolev_norms is not used here: the elliptic report calls it as
 # solvers.sobolev_norms, the name the benchmark's calculus.norms span wraps
 from .calculus import sobolev_norms  # noqa: F401
-from .graphs import WeightedGraph, _finite
+from .graphs import WeightedGraph, _check_nodes, _finite
 from .operators import (EXACT_TOL, AssembledOperator, OperatorConstants,
                         _pcg, apply, assemble, bilinear_form, constants)
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify

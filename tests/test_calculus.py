@@ -57,8 +57,11 @@ class TestNorms:
         assert gh.lp_norm_edges(g, d, 2.0) == pytest.approx(6.0)
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError, match="p must be"):
-            gh.lp_norm_nodes(two_node(), np.ones(2), 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError, match="p must be"):
+                gh.lp_norm_nodes(two_node(), np.ones(2), p)
+            with pytest.raises(ValueError, match="p must be"):
+                gh.lp_norm_edges(two_node(), np.ones(2), p)
 
     def test_edgeless_edge_norm_is_zero(self):
         g = gh.from_data([("a", 1, 1)], [])

@@ -772,6 +772,69 @@ class TestExhaust:
         assert report["level_sizes"] == [2]
 
 
+# the faults of an input file: its text, or None for a missing file
+FILE_FAULTS = {"missing": None, "invalid-json": b"{not json",
+               "not-utf8": b'{"v": "\xff"}'}
+
+
+class TestInputFiles:
+    """Every file a command reads, and every fault of one, gives one error
+    line that names the file."""
+
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    @pytest.mark.parametrize("name", ["problem", "graph", "superpotential",
+                                      "phi", "generator"])
+    def test_fault_names_the_file(self, tmp_path, capsys, name, fault):
+        # verify reads a problem, its graph and superpotential files and
+        # --phi; exhaust reads the generator.  file -> (path, error name)
+        problem = write(tmp_path / "problem.json", {
+            "graph": "graph.json", "superpotential": "sp.json",
+            "f": {"v": 2.0}})
+        files = {"problem": (problem, problem),
+                 "graph": (write(tmp_path / "graph.json", GRAPH),
+                           "graph.json"),   # as the problem names it
+                 "superpotential": (write(tmp_path / "sp.json", ABS_SP),) * 2,
+                 "phi": (write(tmp_path / "phi.json", {"v": 1.0}),) * 2,
+                 "generator": (write(tmp_path / "gen.json", EXHAUST_DOC),) * 2}
+        argv = (["exhaust", "--generator", files["generator"][0],
+                 "--radii", "2"] if name == "generator" else
+                ["verify", "--problem", problem, "--phi", files["phi"][0]])
+        assert run(argv, capsys)[0] == 0
+        path, shown = files[name]
+        os.remove(path)
+        if FILE_FAULTS[fault] is not None:
+            with open(path, "wb") as fh:
+                fh.write(FILE_FAULTS[fault])
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {shown}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        if fault == "invalid-json":
+            assert "invalid JSON (" in err
+
+    @pytest.mark.parametrize("where", ["problem", "file", "generator"])
+    def test_bad_superpotential_names_its_source(self, tmp_path, capsys,
+                                                 where):
+        bad = {"breakpoints": [0.0], "pieces": [[1.0]]}
+        if where == "generator":
+            path = shown = write(tmp_path / "gen.json",
+                                 dict(EXHAUST_DOC, superpotential=bad))
+            argv = ["exhaust", "--generator", path]
+        else:
+            write(tmp_path / "graph.json", GRAPH)
+            sp = bad if where == "problem" else "sp.json"
+            shown = path = write(tmp_path / "problem.json", {
+                "graph": "graph.json", "superpotential": sp, "f": {"v": 1.0}})
+            argv = ["solve-elliptic", "--problem", path]
+            if where == "file":
+                shown = write(tmp_path / "sp.json", bad)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        if where != "file":   # inline: the field of the file names it
+            shown += ": superpotential"
+        assert err == f"error: {shown}: need len(breakpoints) + 1 pieces\n"
+
+
 class _ModuleView:
     """Stands in for a module under one caller's name, as the benchmark's
     tracer does, so that a module's calls to itself are not counted."""

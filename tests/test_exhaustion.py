@@ -93,11 +93,23 @@ class TestGenerator:
 
     def test_nonpositive_law_rejected(self):
         # root-only laws vanish off the root, so they are not weight laws
-        with pytest.raises(ValueError, match="not positive"):
+        with pytest.raises(ValueError, match="non-positive or non-finite "
+                                             "mu at depth 1: 0.0"):
             GraphGenerator(kind="path", mu=WeightLaw("root-only",
                                                      {"value": 1.0}),
                            rho=constant(), gamma=constant(),
                            kappa=constant())
+
+    def test_law_infinite_at_depth_one_rejected(self):
+        # finite at the root, inf from depth 1: refused when built, with the
+        # message a ball's weights would give
+        gamma = WeightLaw("geometric-in-depth", {"value": 1e308,
+                                                 "ratio": 10.0})
+        assert gamma(0) == 1e308 and gamma(1) == math.inf
+        with pytest.raises(gh.GraphFormatError, match="non-positive or "
+                           "non-finite gamma at depth 1: inf"):
+            GraphGenerator(kind="path", mu=constant(), rho=constant(),
+                           gamma=gamma, kappa=constant())
 
     def test_depth_and_ids(self):
         # ids of a truncation, by depth and then by id as strings
