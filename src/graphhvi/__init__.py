@@ -12,9 +12,8 @@ from .solvers import (Certificate, EllipticProblem, ParabolicProblem,
                       ParabolicResult, SolveReport, SolverOptions, certify,
                       energy, hvi_residual, solve_elliptic, solve_parabolic,
                       sum_directional_bound, sum_functional, verify_inclusion)
-from .superpotential import (GrowthCertificate, PiecewiseDensity,
-                             Superpotential, SuperpotentialSchedule, build,
-                             growth_certificate, mollify,
+from .superpotential import (PiecewiseDensity, Superpotential,
+                             SuperpotentialSchedule, build, mollify,
                              relaxed_monotonicity_constant)
 from .exhaustion import (ExhaustionReport, GraphGenerator, WeightLaw,
                          exhaust, truncate)

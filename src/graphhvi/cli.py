@@ -149,19 +149,21 @@ def cmd_solve_parabolic(args) -> tuple[dict, int]:
     g, sp, f, parabolic, opts = load_problem(args.problem, args.tol)
     if parabolic is None:
         raise InputError(f"{args.problem}: missing 'parabolic' section")
-    phi0 = _checked("phi0", node_function, g, parabolic["phi0"])
+    path = args.problem
+    phi0 = _checked(f"{path}: phi0", node_function, g, parabolic["phi0"])
     if "f_table" in parabolic:
         table = parabolic["f_table"]
         if not isinstance(table, list):
-            raise InputError("f_table must be a list of loads")
-        f = np.array([_checked(f"f_table[{k}]", node_function, g, row)
+            raise InputError(f"{path}: f_table must be a list of loads")
+        f = np.array([_checked(f"{path}: f_table[{k}]", node_function, g, row)
                       for k, row in enumerate(table)])
     if "sp_schedule" in parabolic:
-        sp = _checked("sp_schedule", superpotential.schedule_from_document,
+        sp = _checked(f"{path}: sp_schedule",
+                      superpotential.schedule_from_document,
                       parabolic["sp_schedule"])
-    res = solvers.solve_parabolic(solvers.ParabolicProblem(
-        graph=g, sp=sp, f=f, phi0=phi0, T=parabolic["T"],
-        steps=parabolic["steps"]), opts)
+    res = _checked(f"{path}: parabolic", lambda: solvers.solve_parabolic(
+        solvers.ParabolicProblem(g, sp, f, phi0, parabolic["T"],
+                                 parabolic["steps"]), opts))
     return {
         "converged": res.converged,
         "times": res.times.tolist(),
@@ -190,7 +192,10 @@ def cmd_exhaust(args) -> tuple[dict, int]:
     sp = _load_superpotential(doc["superpotential"], args.generator)
     radii = _checked(f"bad --radii list {args.radii!r}",
                      lambda: [float(r) for r in args.radii.split(",")])
-    rep = exhaustion.exhaust(gen, sp, f_law, radii, args.eps)
+    exhaustion._study_levels(radii, args.eps)   # their errors name no file
+    # a law may fail past the depths that parsing checked
+    rep = _checked(args.generator, exhaustion.exhaust, gen, sp, f_law, radii,
+                   args.eps)
     return {
         "converged": rep.converged,
         "radii": rep.radii,

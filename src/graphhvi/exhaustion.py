@@ -223,6 +223,19 @@ class ExhaustionReport:
     converged: bool
 
 
+def _study_levels(radii, eps: float) -> list[float]:
+    """``radii`` as floats, once they and ``eps`` pass exhaust's checks."""
+    radii = [float(r) for r in radii]
+    # 0 < radii[0] < radii[1] < ... < inf, which NaN fails
+    if not radii or not all(a < b for a, b in zip([0.0, *radii],
+                                                  [*radii, math.inf])):
+        raise ValueError("radii must be nonempty, positive, finite and "
+                         f"strictly increasing: {radii}")
+    if not (_finite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite: {eps}")
+    return radii
+
+
 def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
             radii, eps: float) -> ExhaustionReport:
     """Solve on nested ball truncations, warm-started by zero extension.
@@ -232,14 +245,7 @@ def exhaust(gen: GraphGenerator, sp: Superpotential, f_law: WeightLaw,
     embedding tail of solution i outside the previous radius (radius/2 at
     level 0).  Converged when the last increment and tail are below ``eps``.
     """
-    radii = [float(r) for r in radii]
-    # 0 < radii[0] < radii[1] < ... < inf, which NaN fails
-    if not radii or not all(a < b for a, b in zip([0.0, *radii],
-                                                  [*radii, math.inf])):
-        raise ValueError("radii must be nonempty, positive, finite and "
-                         f"strictly increasing: {radii}")
-    if not (_finite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite: {eps}")
+    radii = _study_levels(radii, eps)
     graphs, node_depth, dist = _balls(gen, radii)
     f_depth = [f_law(d) for d in range(node_depth[-1] + 1)]
     for d, x in enumerate(f_depth):

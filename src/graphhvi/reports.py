@@ -18,7 +18,7 @@ import numpy as np
 
 from .graphs import NodeTable, WeightedGraph
 
-SCHEMA_VERSION = 2   # cli.main stamps it as every report's first key
+SCHEMA_VERSION = 3   # cli.main stamps it as every report's first key
 DISTINCT_FROM = 1000   # node tables this long may format distinct values
 
 

@@ -32,8 +32,8 @@ from .operators import (EXACT_TOL, AssembledOperator, OperatorConstants,
                         _pcg, apply, assemble, bilinear_form, constants)
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify
 from .superpotential import (PiecewiseDensity, Superpotential,  # noqa
-                             SuperpotentialSchedule, growth_certificate,
-                             mollify, relaxed_monotonicity_constant)
+                             SuperpotentialSchedule, mollify,
+                             relaxed_monotonicity_constant, solution_box)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class ParabolicProblem:
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str        # "existence-smallness" or "uniqueness"
+    kind: str        # "existence", "uniqueness" or "nonexistence"
     satisfied: bool
     lhs: float
     rhs: float
@@ -186,49 +186,44 @@ def energy(g: WeightedGraph, sp: Superpotential, f: np.ndarray,
             - inner_product_nodes(g, f, phi))
 
 
-def default_certificate_range(g: WeightedGraph, f: np.ndarray,
-                              c: OperatorConstants) -> float:
-    """A priori sup-norm bound on the solution, from ||f|| and coercivity;
-    ``inf`` where ``m_coercive`` underflowed to 0."""
-    if c.m_coercive == 0.0:
-        return math.inf
-    fn = lp_norm_nodes(g, f, 2.0)
-    return float((1.0 + 2.0 * fn / c.m_coercive) / math.sqrt(g.mu.min()))
-
-
 def certify(problem: EllipticProblem) -> list[Certificate]:
-    """Existence-smallness and uniqueness certificates.
-
-    The comparison margin is ``m_coercive / 2`` with the data-derived
-    coercivity constant; the uniqueness side uses the exact
-    relaxed-monotonicity constant on [-r, r].
+    """Existence, uniqueness and nonexistence certificates from the box
+    ``[L, U]`` that holds every solution (``solution_box``, by the discrete
+    maximum principle; the README gives the argument).  A finite box means
+    a solution exists; an empty one (``U = -inf`` or ``L = +inf``) means
+    none does; a relaxed-monotonicity constant on the box below
+    ``min kappa / mu`` means at most one does.  The existence and
+    nonexistence certificates carry the box as ``(lhs, rhs)``; a rounding
+    that inverts a one-point box is read as that point.
     """
     g, sp = problem.graph, problem.sp
-    c = constants(g)
-    r = default_certificate_range(g, problem.f, c)
-    margin = 0.5 * c.m_coercive
-    # a huge or infinite range r overflows polynomial values and puts inf
-    # and NaN on the candidate grid: the constants come out inf or NaN,
-    # reported (np.maximum keeps the NaN that max() would drop), not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        gc = growth_certificate(sp, r)
-        rmc = relaxed_monotonicity_constant(sp, r)
-        uniq_lhs = float(np.maximum(rmc, gc.alpha_j))
-    scope = "global" if gc.global_bound else f"range [-{r:g}, {r:g}] only"
-    existence = Certificate(
-        kind="existence-smallness",
-        satisfied=gc.alpha_j < margin,
-        lhs=gc.alpha_j, rhs=margin,
-        note=f"growth constant ({scope}) vs margin m_coercive/2",
-    )
-    uniqueness = Certificate(
-        kind="uniqueness",
-        satisfied=uniq_lhs < margin,
-        lhs=uniq_lhs, rhs=margin,
-        note=("max(relaxed-monotonicity constant, growth constant) "
-              "vs margin m_coercive/2"),
-    )
-    return [existence, uniqueness]
+    with np.errstate(over="ignore"):   # kappa / mu is inf or 0 at worst
+        k = g.kappa / g.mu
+    lower, upper = solution_box(sp.density, k, problem.f)
+    L, U, k_lo = float(lower.min()), float(upper.max()), float(k.min())
+    empty, box = U == -math.inf or L == math.inf, f"the box [{L:g}, {U:g}]"
+    if empty:
+        why = f"{box} is empty"
+    elif U == math.inf:
+        why = (f"node {g.nodes[int(np.argmax(upper))]}: k t + lo(t) <= f "
+               "somewhere past every t")
+    elif L == -math.inf:
+        why = (f"node {g.nodes[int(np.argmin(lower))]}: k t + hi(t) >= f "
+               "somewhere before every t")
+    else:
+        why = f"{box} holds every solution"
+    m = math.nan if empty else relaxed_monotonicity_constant(
+        sp, *sorted((L, U)))
+    down = [b for b, left, right in sp.density.jumps()
+            if L <= b <= U and left > right]
+    unique = (f"down-jump at {down[0]:g} in the box" if down else
+              "beta' falls to -inf on the box" if m == math.inf else
+              "relaxed-monotonicity constant on the box vs min kappa/mu")
+    return [Certificate("existence", math.isfinite(L) and math.isfinite(U),
+                        L, U, why),
+            Certificate("uniqueness", m < k_lo, m, k_lo, unique),
+            Certificate("nonexistence", empty, L, U,
+                        why if empty else f"{box} is not empty")]
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,10 @@ import numpy as np
 
 from .graphs import _finite
 
-_GRID = 129       # lattice points on [-r, r] among the extremum candidates
-
 
 def _table(polys) -> np.ndarray:
     """Coefficient k of polynomial i at ``[k, i]``, zero-padded."""
     return np.array(list(zip_longest(*polys, fillvalue=0.0)))
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """``c`` without trailing zeros (one kept), as numpy.polynomial trims."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
 
 
 def _der(c: np.ndarray) -> np.ndarray:
@@ -165,20 +155,6 @@ class PiecewiseDensity:
 
 
 @dataclass(frozen=True)
-class GrowthCertificate:
-    """Certified constant alpha with max(|dj(s)|) <= alpha*(1+|s|) on [-r, r].
-
-    ``global_bound`` is true when both unbounded pieces are (at most)
-    linear and the bound extends analytically to the whole line; the
-    reported alpha then covers all of R.
-    """
-
-    alpha_j: float
-    r: float
-    global_bound: bool
-
-
-@dataclass(frozen=True)
 class Superpotential:
     """Density together with its exact piecewise-polynomial antiderivative."""
 
@@ -206,7 +182,7 @@ class Superpotential:
 
     def derivative_bound(self, r: float) -> float:
         """sup over [-r, r] of |beta'|, one-sided limits at breakpoints."""
-        left, right = _derivative_limits(self.density, r)
+        left, right = _derivative_limits(self.density, -r, r)
         return float(np.max(np.maximum(np.abs(left), np.abs(right)),
                             initial=0.0))
 
@@ -248,95 +224,106 @@ def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
     return roots[(roots > a) & (roots < b)]
 
 
-def _pieces_within(bp: np.ndarray, pieces, r: float):
-    """Each piece's coefficients with its nonempty part ``(a, b)`` of [-r, r]."""
-    bounds = [-r, *np.clip(bp, -r, r).tolist(), r]
-    for c, a, b in zip(pieces, bounds[:-1], bounds[1:]):
-        if a < b:
-            yield c, a, b
+def _derivative_limits(density: PiecewiseDensity, a: float,
+                       b: float) -> np.ndarray:
+    """One-sided limits of beta' at its extremum candidates on [a, b]: the
+    finite ends (and 0, so that a whole line has one), the breakpoints and
+    each piece's critical points (the table's zero padding adds trailing
+    zeros, which ``_real_roots`` drops)."""
+    bp, table = density.breakpoints, density._beta_prime
+    ends = np.clip([a, b, 0.0], a, b)
+    cand = [ends[np.isfinite(ends)], bp[(bp >= a) & (bp <= b)]]
+    bounds = np.clip(np.concatenate(([-np.inf], bp, [np.inf])), a, b)
+    for c, lo, hi in zip(table.T, bounds[:-1], bounds[1:]):
+        if lo < hi:
+            cand.append(_real_roots(_der(c), lo, hi))
+    return density._limits(np.unique(np.concatenate(cand)), table)
 
 
-def _candidates(bp: np.ndarray, pieces, r: float) -> list[np.ndarray]:
-    """Extremum candidates on [-r, r] of the polynomials ``pieces`` between
-    ``bp``: a grid, the breakpoints and each piece's critical points."""
-    cand = [np.linspace(-r, r, _GRID), bp[(bp >= -r) & (bp <= r)]]
-    for c, a, b in _pieces_within(bp, pieces, r):
-        cand.append(_real_roots(_der(c), a, b))
-    return cand
-
-
-def _derivative_limits(density: PiecewiseDensity, r: float) -> np.ndarray:
-    """One-sided limits of beta' at its extremum candidates on [-r, r] (the
-    table's zero padding adds trailing zeros, which ``_real_roots`` drops)."""
-    table = density._beta_prime
-    pts = np.unique(np.concatenate(_candidates(density.breakpoints, table.T,
-                                               r)))
-    return density._limits(pts, table)
-
-
-def _ratio_numerator(c: np.ndarray, s: float) -> np.ndarray:
-    """``(1 + s t) p' - s p`` (s = +-1) with the bits of numpy.polynomial's
-    sub (add) of mul([1, s], p') and c, whose lengths are equal."""
-    q = _trim(np.convolve([1.0, s], _trim(_der(c))))
-    return _trim(q - s * _trim(c))
-
-
-def _growth_ratio_max(sp: Superpotential, r: float) -> float:
-    """max over [-r, r] of max(|lo|, |hi|) / (1 + |t|)."""
-    density = sp.density
-    cand = _candidates(density.breakpoints, density.pieces, r) + [np.zeros(1)]
-    # critical points of p(s)/(1 +/- s) on each signed segment of each piece
-    for c, a, b in _pieces_within(density.breakpoints, density.pieces, r):
-        if b > 0:  # d/ds p/(1+s) = 0  <=>  (1+s) p' - p = 0
-            cand.append(_real_roots(_ratio_numerator(c, 1.0), max(a, 0.0), b))
-        if a < 0:  # d/ds p/(1-s) = 0  <=>  (1-s) p' + p = 0
-            cand.append(_real_roots(_ratio_numerator(c, -1.0), a,
-                                    min(b, 0.0)))
-    pts = np.unique(np.concatenate(cand))
-    lo, hi = sp.interval(pts)
-    ratio = np.maximum(np.abs(lo), np.abs(hi)) / (1.0 + np.abs(pts))
-    return float(np.max(ratio, initial=0.0))
-
-
-def growth_certificate(sp: Superpotential, r: float) -> GrowthCertificate:
-    """Smallest lattice-certified alpha with |dj(s)| <= alpha*(1+|s|) on [-r, r].
-
-    If both unbounded pieces are linear the tail ratios are monotone, so a
-    global alpha is exact; it is then reported with ``global_bound=True``.
-    """
-    if r <= 0:
-        raise ValueError("certification range must be positive")
-    density = sp.density
-    bp = density.breakpoints
-    tails_linear = (len(_trim(density.pieces[0])) <= 2
-                    and len(_trim(density.pieces[-1])) <= 2)
-    if not tails_linear:
-        return GrowthCertificate(alpha_j=_growth_ratio_max(sp, r), r=r,
-                                 global_bound=False)
-    # cover all breakpoints, then add the exact tail suprema (monotone tails)
-    big = max(r, float(np.max(np.abs(bp), initial=0.0)), 1.0)
-    alpha = _growth_ratio_max(sp, big)
-    for c in (density.pieces[0], density.pieces[-1]):
-        if len(c) > 1:
-            alpha = max(alpha, abs(float(c[1])))
-    return GrowthCertificate(alpha_j=alpha, r=r, global_bound=True)
-
-
-def relaxed_monotonicity_constant(sp: Superpotential, r: float) -> float:
+@np.errstate(over="ignore", invalid="ignore")   # beta' at a far candidate
+def relaxed_monotonicity_constant(sp: Superpotential, a: float,
+                                  b: float) -> float:
     """Smallest m >= 0 with ``(xi - eta)(s - t) >= -m |s - t|^2`` for all
-    s, t in [-r, r], xi in dj(s) and eta in dj(t).
+    s, t in [a, b], xi in dj(s) and eta in dj(t); either end may be infinite.
 
-    +inf if a downward jump (left limit above right limit) lies in
-    [-r, r]; otherwise ``max(0, -min beta')`` over [-r, r], with one-sided
-    limits at breakpoints, or NaN where that minimum is NaN (r = inf).
+    0 on a single point.  +inf if a downward jump (left limit above right
+    limit) lies in [a, b], or if beta' falls to -inf towards an infinite end
+    (its piece's leading term decides); otherwise ``max(0, -min beta')``
+    over [a, b], with one-sided limits at breakpoints, or NaN where that
+    minimum is NaN (a candidate so large that beta' overflows).
     """
-    if r <= 0:
-        raise ValueError("range must be positive")
-    if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
+    if not a <= b:
+        raise ValueError(f"range [{a}, {b}] must be nonempty")
+    if a == b:
+        return 0.0
+    density = sp.density
+    if any(a <= x <= b and lo > hi for x, lo, hi in density.jumps()):
         return math.inf
-    left, right = _derivative_limits(sp.density, r)
+    table = density._beta_prime
+    for end, c in ((a, table[:, 0]), (b, table[:, -1])):
+        deg = int(max(np.flatnonzero(c), default=0))
+        if math.isinf(end) and deg and c[deg] * np.sign(end) ** deg < 0:
+            return math.inf
+    left, right = _derivative_limits(density, a, b)
     m = -float(np.min(np.minimum(left, right)))
     return m if math.isnan(m) else max(0.0, m)   # max() would drop a NaN
+
+
+def _sup_below(bp: np.ndarray, table: np.ndarray, lo_bp: np.ndarray,
+               k: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per node, ``sup{t : k t + lo(t) <= f}`` (-inf for no t) for the
+    density with breakpoints ``bp``, coefficient ``j`` of piece ``p`` at
+    ``table[j, p]`` (at least two rows) and lower limits ``lo_bp`` at the
+    breakpoints.  It is +inf unless ``k t + beta(t) - f`` ends positive on
+    the last piece, by its leading coefficient; else it is the largest
+    breakpoint in the set or root of ``k t + beta_p(t) - f`` on piece p,
+    because the set is closed and a piece leaves it only at a root."""
+    ends = np.concatenate(([-np.inf], bp, [np.inf]))
+    # coefficients 0 and 1 of k t + beta_p(t) - f at node v: h0[p, v], h1[p, v]
+    h0, h1 = table[0][:, None] - f, table[1][:, None] + k
+    higher = np.flatnonzero(table[2:, -1])
+    lead = (np.full(len(f), table[2 + higher[-1], -1]) if len(higher) else
+            np.where(h1[-1] != 0, h1[-1], h0[-1]))
+    best = np.max(np.where(k * bp[:, None] + lo_bp[:, None] <= f,
+                           bp[:, None], -np.inf), axis=0, initial=-np.inf)
+    # a root that rounding puts just past an end of its piece is taken at
+    # that end, and one that overflows to -inf at -fmax: either can only
+    # widen the box, where dropping it could empty the box
+    slack = 1e-9 * (1.0 + np.abs(ends))
+    lo_w, hi_w = ends[:-1] - slack[:-1], ends[1:] + slack[1:]
+    left, right = np.maximum(ends[:-1], -np.finfo(float).max), ends[1:]
+    if len(table) == 2:   # lines: one root each, in closed form
+        t = np.divide(-h0, h1, out=np.full(h0.shape, np.nan), where=h1 != 0)
+        inside = (t >= lo_w[:, None]) & (t <= hi_w[:, None])
+        t = np.clip(t, left[:, None], right[:, None])
+        best = np.maximum(best, np.max(np.where(inside, t, -np.inf), axis=0))
+    else:   # the companion matrices, once per distinct (k, f)
+        _, first, inv = np.unique(np.column_stack((k, f)), axis=0,
+                                  return_index=True, return_inverse=True)
+        top = [max(np.clip(_real_roots(np.r_[h0[p, v], h1[p, v], c[2:]],
+                                       lo_w[p], hi_w[p]), left[p], right[p])
+                   .max(initial=-np.inf) for p, c in enumerate(table.T))
+               for v in first]
+        best = np.maximum(best, np.array(top)[inv.reshape(-1)])
+    return np.where(lead > 0, best, np.inf)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # huge k, f or roots
+def solution_box(density: PiecewiseDensity, k: np.ndarray,
+                 f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node v, ``inf{t : k_v t + hi(t) >= f_v}`` and
+    ``sup{t : k_v t + lo(t) <= f_v}`` for the Clarke interval ``(lo, hi)``;
+    the first is the second for the reflected density ``-beta(-t)`` and
+    load ``-f``, negated."""
+    table = density._beta
+    if len(table) < 2:
+        table = np.vstack((table, np.zeros_like(table)))
+    lo_at, hi_at = density._pinned
+    bp = density.breakpoints
+    reflect = -(-1.0) ** np.arange(len(table))[:, None]   # (-1)^(j+1)
+    return (-_sup_below(-bp[::-1], reflect * table[:, ::-1],
+                        -hi_at[-2:0:-1], k, -f),
+            _sup_below(bp, table, lo_at[1:-1], k, f))
 
 
 def mollify(sp: Superpotential, h: float) -> Superpotential:

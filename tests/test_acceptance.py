@@ -320,7 +320,8 @@ def _certified_instances(rng, count=10):
             sp = build(PiecewiseDensity((), ([0.0, 0.1, q],)))
         f = rng.uniform(-1.0, 1.0, n)
         problem = EllipticProblem(g, sp, f)
-        if all(c.satisfied for c in certify(problem)):
+        exists, unique, _ = (c.satisfied for c in certify(problem))
+        if exists and unique:
             out.append(problem)
     return out
 

@@ -141,7 +141,7 @@ class TestValidate:
         assert code == 0
         doc = json.loads(out)
         assert doc["num_nodes"] == 1
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
 
     def test_two_node_report(self, tmp_path, capsys):
         path = write(tmp_path / "two.json", {
@@ -413,7 +413,7 @@ class TestSolveElliptic:
 
     def test_overflowing_step_prints_no_warning(self, tmp_path):
         # kappa 1e-300 and load 1e300: the released node's step load / kappa
-        # overflows, and so does the certificate range
+        # overflows, and so does the box's upper end
         write(tmp_path / "graph.json", {
             "nodes": [{"id": "v", "mu": 1.0, "kappa": 1e-300}],
             "adjacencies": []})
@@ -427,7 +427,7 @@ class TestSolveElliptic:
         assert report["trace"][-1]["reason"] == "non-finite"
         assert report["solution"] == {"v": 0}
         assert report["residual_norm"] == 1e300
-        assert report["certificates"][0]["lhs"] == "nan"
+        assert report["certificates"][0]["rhs"] == "inf"
 
 
 class TestCertify:
@@ -437,13 +437,13 @@ class TestCertify:
         assert code == 0
         doc = json.loads(out)
         kinds = [c["kind"] for c in doc["certificates"]]
-        assert kinds == ["existence-smallness", "uniqueness"]
+        assert kinds == ["existence", "uniqueness", "nonexistence"]
         assert doc["constants"]["m_coercive"] == 1.0
 
-    def test_nan_growth_constant_leaves_uniqueness_unsatisfied(self, tmp_path,
-                                                               capsys):
-        # kappa 1e-300 and load 1e300: the certificate range overflows and
-        # the growth constant is NaN, which max() would drop
+    def test_overflowing_root_leaves_the_box_infinite(self, tmp_path, capsys):
+        # kappa 1e-300 and load 1e300: the one solution, near 1e600, is past
+        # the largest float, so the box is [largest float, inf]: no solution
+        # is certified, though the density is monotone and kappa > 0
         write(tmp_path / "graph.json", {
             "nodes": [{"id": "v", "mu": 1.0, "kappa": 1e-300}],
             "adjacencies": []})
@@ -452,22 +452,31 @@ class TestCertify:
             "f": {"v": 1e300}})
         code, out, err = run(["certify", "--problem", path], capsys)
         assert (code, err) == (0, "")
-        existence, uniqueness = json.loads(out)["certificates"]
-        for cert in existence, uniqueness:
-            assert cert["lhs"] == "nan"
-            assert cert["satisfied"] is False
+        existence, uniqueness, nonexistence = json.loads(out)["certificates"]
+        assert (existence["lhs"], existence["rhs"]) == (1.7976931348623157e308,
+                                                        "inf")
+        assert existence["note"] == ("node v: k t + lo(t) <= f somewhere "
+                                     "past every t")
+        assert existence["satisfied"] is nonexistence["satisfied"] is False
+        assert uniqueness["satisfied"] is True   # rmc 0 < kappa / mu
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("nodes, edges, sp, f", [
-        # m_coercive underflows to 0, on a node or on the edge
-        ([(1e300, 1e-300), (1.0, 1.0)], [(1.0, 1.0)], ABS_SP, [1.0, 1.0]),
-        ([(1.0, 1.0), (1.0, 1.0)], [(1e300, 1e-300)], ABS_SP, [1.0, 1.0]),
-        # the range comes out near 2e302, and t^2 overflows on it
+    @pytest.mark.parametrize("nodes, edges, sp, f, verdicts", [
+        # kappa / mu underflows to 0 on a node: its set has no upper end
+        ([(1e300, 1e-300), (1.0, 1.0)], [(1.0, 1.0)], ABS_SP, [1.0, 1.0],
+         [False, False, False]),
+        # m_coercive underflows to 0 on the edge, which the box never reads:
+        # kappa / mu = 1 and |t| give the box [0, 0]
+        ([(1.0, 1.0), (1.0, 1.0)], [(1e300, 1e-300)], ABS_SP, [1.0, 1.0],
+         [True, True, False]),
+        # a near-zero conductance, and a nondecreasing density: the box is
+        # [0, 9.51], where t + t^2 = 100
         ([(1.0, 1.0)] * 3, [(1.0, 1e-300), (1.0, 1.0)],
          {"breakpoints": [0.0], "pieces": [[0.0], [0.0, 0.0, 1.0]]},
-         [0.0, 0.0, 100.0]),
+         [0.0, 0.0, 100.0], [True, True, False]),
     ], ids=["node", "edge", "overflow"])
-    def test_extreme_range(self, tmp_path, capsys, nodes, edges, sp, f):
+    def test_extreme_range(self, tmp_path, capsys, nodes, edges, sp, f,
+                           verdicts):
         # a path: (mu, kappa) per node, (rho, gamma) per edge
         ids = [f"v{i}" for i in range(len(nodes))]
         write(tmp_path / "graph.json", {
@@ -481,8 +490,8 @@ class TestCertify:
         for command in ("certify", "solve-elliptic"):
             code, out, err = run([command, "--problem", path], capsys)
             assert (code, err) == (0, "")
-            for cert in json.loads(out)["certificates"]:
-                assert cert["satisfied"] is False
+            certs = json.loads(out)["certificates"]
+            assert [c["satisfied"] for c in certs] == verdicts
 
 
 class TestVerify:
@@ -543,7 +552,7 @@ class TestSolveParabolic:
         path = self.problem(workspace, f_table=[{"v": 1.0}] * 3)
         code, _, err = run(["solve-parabolic", "--problem", path], capsys)
         assert code == 2
-        assert "f_table" in err
+        assert err.startswith(f"error: {path}: ") and "f_table" in err
 
     @pytest.mark.parametrize("key, value", [
         ("T", {}), ("T", True), ("steps", 8.5), ("steps", "8"),
@@ -560,7 +569,7 @@ class TestSolveParabolic:
         path = self.problem(workspace, **{key: value})
         code, _, err = run(["solve-parabolic", "--problem", path], capsys)
         assert code == 2
-        assert err.startswith("error:") and key in err
+        assert err.startswith(f"error: {path}: ") and key in err
 
     @pytest.mark.parametrize("key, value", [
         ("T", BIG), ("phi0", {"v": BIG}), ("f_table", [{"v": 1.0}] * 7
@@ -570,7 +579,7 @@ class TestSolveParabolic:
         path = self.problem(workspace, **{key: value})
         code, _, err = run(["solve-parabolic", "--problem", path], capsys)
         assert code == 2
-        assert err.startswith("error:") and key in err
+        assert err.startswith(f"error: {path}: ") and key in err
 
     def test_overflowing_step_prints_no_warning(self, tmp_path):
         # the line search's window lets the residual climb to overflow:
@@ -691,7 +700,8 @@ class TestExhaust:
         code, _, err = run(["exhaust", "--generator", gen_path,
                             "--radii", radii], capsys)
         assert code == 2
-        assert err == f"error: non-positive or non-finite {message}\n"
+        assert err == (f"error: {gen_path}: non-positive or non-finite "
+                       f"{message}\n")
 
     @pytest.mark.parametrize("option", ["--radii=nan", "--radii=2,nan",
                                         "--radii=2,inf", "--radii=-1,2",
@@ -702,6 +712,7 @@ class TestExhaust:
                            capsys)
         assert code == 2
         assert "radii" in err or "eps" in err
+        assert gen_path not in err   # a flag's error names the flag
 
     def test_laws_checked_before_first_solve(self, tmp_path, capsys):
         # the radius-2 level alone would end cycled (exit 1, as below); the
@@ -716,8 +727,8 @@ class TestExhaust:
                               "--radii", "2,12"], capsys)
         assert code == 2
         assert out == ""
-        assert err == ("error: non-positive or non-finite gamma at depth 9: "
-                       "inf\n")
+        assert err == (f"error: {gen_path}: non-positive or non-finite gamma "
+                       "at depth 9: inf\n")
 
     def test_load_not_finite_at_depth(self, tmp_path, capsys):
         # 1e300 * 10.0 ** 9 is inf without an OverflowError
@@ -728,7 +739,7 @@ class TestExhaust:
                               "--radii", "12"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: non-finite f at depth 9: inf\n"
+        assert err == f"error: {gen_path}: non-finite f at depth 9: inf\n"
 
     def test_subnormal_mu_prints_no_warning(self, tmp_path):
         # mu = 0.5 ** 1074 at depth 1074 is subnormal: kappa / mu overflows
@@ -941,7 +952,7 @@ class TestEntryPoint:
         code, out, err = run([command, *self.argv(workspace, command)],
                              capsys)
         assert (code, err) == (0, "")
-        assert out.startswith('{\n  "schema_version": 2,\n')
+        assert out.startswith('{\n  "schema_version": 3,\n')
 
     def test_no_command_imports_csgraph(self, workspace):
         # scipy's graph module is slow to import; only

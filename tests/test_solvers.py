@@ -14,9 +14,8 @@ from graphhvi.calculus import lp_norm_nodes
 from graphhvi.exhaustion import GraphGenerator, WeightLaw, truncate
 from graphhvi.operators import AssembledOperator, apply, assemble
 from graphhvi.solvers import (EllipticProblem, ParabolicProblem,
-                              SolverOptions, certify,
-                              default_certificate_range, energy,
-                              hvi_residual, solve_elliptic, solve_parabolic,
+                              SolverOptions, certify, energy, hvi_residual,
+                              solve_elliptic, solve_parabolic,
                               sum_directional_bound, sum_functional,
                               verify_inclusion)
 from graphhvi.operators import EXACT_TOL
@@ -76,11 +75,6 @@ class TestFunctionals:
         f = np.array([1.0])
         # 1/2*kappa*phi^2 + mu*phi^2/2 - mu*f*phi = 6 + 4 - 4
         assert energy(g, sp, f, phi) == pytest.approx(6.0)
-
-    def test_default_certificate_range_positive(self):
-        g = make_random_graph(np.random.default_rng(0), max_nodes=10)
-        f = np.ones(g.num_nodes)
-        assert default_certificate_range(g, f, gh.constants(g)) > 1.0
 
 
 class TestEllipticLinear:
@@ -502,19 +496,73 @@ class TestCertificates:
     def test_small_convex_density_certified(self):
         problem = EllipticProblem(single_node(), quad_density(0.1),
                                   np.array([0.5]))
-        existence, uniqueness = certify(problem)
-        assert existence.kind == "existence-smallness"
+        existence, uniqueness, nonexistence = certify(problem)
+        assert existence.kind == "existence"
         assert existence.satisfied
         assert uniqueness.kind == "uniqueness"
         assert uniqueness.satisfied
-        assert existence.rhs == pytest.approx(0.5)  # m_coercive / 2
+        assert (uniqueness.lhs, uniqueness.rhs) == (0.0, 1.0)  # m, k_lo
+        assert nonexistence.kind == "nonexistence"
+        assert not nonexistence.satisfied
+        # the box is the solution 0.5 / 1.1
+        assert existence.lhs == pytest.approx(0.5 / 1.1)
+        assert existence.rhs == pytest.approx(0.5 / 1.1)
 
     def test_large_nonconvex_density_not_certified(self):
         sp = build(PiecewiseDensity((), ([0.0, -2.0],)))
-        existence, uniqueness = certify(
+        existence, uniqueness, nonexistence = certify(
             EllipticProblem(single_node(), sp, np.array([0.5])))
         assert not existence.satisfied
         assert not uniqueness.satisfied
+        assert not nonexistence.satisfied
+        assert (existence.lhs, existence.rhs) == (-math.inf, math.inf)
+        assert existence.note == ("node v: k t + lo(t) <= f somewhere past "
+                                  "every t")
+
+    def test_three_solutions_in_a_box_with_a_down_jump(self):
+        # one node, kappa / mu = 1, f = 0: beta is 0.2 below 0.3 and -0.45
+        # above, so -0.2, 0.3 and 0.45 all solve; an a priori range that
+        # missed the down-jump at 0.3 called this problem unique
+        g = single_node(mu=100.0, kappa=100.0)
+        sp = build(PiecewiseDensity((0.3,), ([0.2], [-0.45])))
+        problem = EllipticProblem(g, sp, np.zeros(1))
+        existence, uniqueness, nonexistence = certify(problem)
+        assert existence.satisfied and not nonexistence.satisfied
+        assert (existence.lhs, existence.rhs) == (-0.2, 0.45)
+        assert not uniqueness.satisfied
+        assert uniqueness.lhs == math.inf
+        assert uniqueness.note == "down-jump at 0.3 in the box"
+        for x in (-0.2, 0.3, 0.45):
+            resid = verify_inclusion(g, sp, np.array([x]), np.zeros(1))
+            assert resid[0] <= 1e-15, x
+
+    def test_two_solutions_past_any_bounded_range(self):
+        # one node, kappa / mu = 1, beta = 0.1 t - 0.01 t^2, f = 0.5:
+        # t + beta(t) = 0.5 at 0.456 and at 109.54; the box is unbounded
+        # above, so neither a solution nor uniqueness is certified
+        g = single_node()
+        sp = build(PiecewiseDensity((), ([0.0, 0.1, -0.01],)))
+        problem = EllipticProblem(g, sp, np.array([0.5]))
+        existence, uniqueness, nonexistence = certify(problem)
+        assert existence.lhs == pytest.approx(0.45643942682)
+        assert existence.rhs == math.inf
+        assert not (existence.satisfied or uniqueness.satisfied
+                    or nonexistence.satisfied)
+        roots = sorted(np.roots([-0.01, 1.1, -0.5]))
+        assert roots == pytest.approx([0.45643942682, 109.54356057318])
+        for x in roots:
+            resid = verify_inclusion(g, sp, np.array([x]), np.array([0.5]))
+            assert resid[0] <= 1e-12, x
+
+    def test_empty_box_means_no_solution(self):
+        # t + t^2 = -1 has no real root: no node can hold the maximum
+        sp = build(PiecewiseDensity((), ([0.0, 0.0, 1.0],)))
+        existence, uniqueness, nonexistence = certify(
+            EllipticProblem(single_node(), sp, np.array([-1.0])))
+        assert nonexistence.satisfied
+        assert not (existence.satisfied or uniqueness.satisfied)
+        assert existence.rhs == -math.inf
+        assert math.isnan(uniqueness.lhs)
 
 
 def enumerate_solutions(g, bps, pieces, f, tol=1e-9):
@@ -594,11 +642,46 @@ class TestEnumerationOracle:
                 # nondecreasing density, kappa > 0: one solution, found
                 counts["monotone"] += 1
                 assert rep.converged and len(found) == 1
-            if certify(problem)[1].satisfied:
+            exists, unique, none = (c.satisfied for c in certify(problem))
+            if unique:
                 counts["certified"] += 1
                 assert len(found) == 1
+            assert not exists or found
+            assert not none or not found
             counts["several"] += len(found) > 1
         assert min(counts.values()) >= 20, counts
+
+
+    def test_units_leave_the_solve_and_the_certificates(self):
+        # mu, kappa and gamma times 2^e leave L = M^-1 (K + C), and so the
+        # problem, as it is, and rho enters neither: the solve's bytes and
+        # steps and every certificate (verdict, box and note) stay, and the
+        # mu-weighted residual norm scales by 2^(e/2) exactly
+        for seed in (9, 1001):
+            rng = np.random.default_rng(seed)
+            for i in range(50):
+                g, bps, pieces, f = self.draw(rng, mild=i % 2 == 1)
+                sp = build(PiecewiseDensity(bps, tuple(pieces)))
+                rep = solve_elliptic(EllipticProblem(g, sp, f))
+                certs = repr(certify(EllipticProblem(g, sp, f)))
+                for e in (-20, -6, 6, 20):
+                    s = 2.0 ** e
+                    for scaled, norm in (
+                            (dataclasses.replace(g, mu=g.mu * s,
+                                                 kappa=g.kappa * s,
+                                                 gamma=g.gamma * s),
+                             rep.residual_norm * 2.0 ** (e / 2)),
+                            (dataclasses.replace(g, rho=g.rho * s),
+                             rep.residual_norm)):
+                        problem = EllipticProblem(scaled, sp, f)
+                        got = solve_elliptic(problem)
+                        case = (seed, i, e)
+                        assert got.phi.tobytes() == rep.phi.tobytes(), case
+                        assert got.converged == rep.converged, case
+                        assert (len(got.iterations)
+                                == len(rep.iterations)), case
+                        assert got.residual_norm == norm, case
+                        assert repr(certify(problem)) == certs, case
 
 
 class TestParabolic:

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
-from numpy.polynomial import polyutils as pu
 
 from graphhvi.superpotential import (PiecewiseDensity, SuperpotentialSchedule,
-                                     _antider, _der, _ratio_numerator,
-                                     _real_roots, _trim, build, from_document,
-                                     growth_certificate, mollify,
+                                     _antider, _der, _real_roots, build,
+                                     from_document, mollify,
                                      relaxed_monotonicity_constant,
-                                     schedule_from_document)
+                                     schedule_from_document, solution_box)
 
 from conftest import (abs_density, clarke_interval, down_jump_density,
                       per_piece, quad_density)
@@ -183,46 +181,6 @@ class TestSubdifferential:
         assert quad_density(0.7).derivative_bound(5.0) == pytest.approx(0.7)
 
 
-class TestGrowthCertificate:
-    def test_absolute_value_alpha_one(self):
-        gc = growth_certificate(abs_density(), 3.0)
-        assert gc.alpha_j == pytest.approx(1.0)
-        assert gc.global_bound
-
-    def test_linear_density_alpha_is_slope(self):
-        gc = growth_certificate(quad_density(2.0), 1.0)
-        assert gc.alpha_j == pytest.approx(2.0)
-        assert gc.global_bound
-
-    def test_certificate_dominates_dense_scan(self):
-        sp = down_jump_density(b=0.5, left=0.4, right=-0.2, slope=0.3)
-        r = 4.0
-        gc = growth_certificate(sp, r)
-        grid = np.linspace(-r, r, 40001)
-        lo, hi = sp.interval(grid)
-        ratio = np.maximum(np.abs(lo), np.abs(hi)) / (1.0 + np.abs(grid))
-        assert np.max(ratio) <= gc.alpha_j + 1e-9
-        # the lattice maximum is nearly attained
-        assert np.max(ratio) >= gc.alpha_j - 1e-3
-
-    def test_cubic_tails_not_global(self):
-        sp = build(PiecewiseDensity((), ([0.0, 0.0, 0.0, 1.0],)))
-        gc = growth_certificate(sp, 2.0)
-        assert not gc.global_bound
-        assert gc.alpha_j == pytest.approx(8.0 / 3.0)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            growth_certificate(abs_density(), 0.0)
-
-    def test_subnormal_leading_coefficient(self):
-        # the companion matrix of (1 + s) p' - p on the right piece overflows
-        sp = build(PiecewiseDensity((0.0,), ([0.0],
-                                             [0.0, 1.0, 2.2250738585e-313])))
-        gc = growth_certificate(sp, 2.0)
-        assert gc.alpha_j == pytest.approx(2.0 / 3.0)
-
-
 def _lattice_estimate(sp, r):
     """Reference: the largest ``(j°(s; t-s) + j°(t; s-t)) / |t-s|^2`` over
     pairs of a lattice on [-r, r] (200 points plus the breakpoints and
@@ -260,51 +218,80 @@ def lattice_cases(draw):
 
 class TestRelaxedMonotonicity:
     def test_convex_densities_are_zero(self):
-        assert relaxed_monotonicity_constant(abs_density(), 3.0) == 0.0
-        assert relaxed_monotonicity_constant(quad_density(1.0), 3.0) == 0.0
+        assert relaxed_monotonicity_constant(abs_density(), -3.0, 3.0) == 0.0
+        assert relaxed_monotonicity_constant(quad_density(1.0), -3.0,
+                                             3.0) == 0.0
 
     def test_decreasing_linear_density(self):
         # beta(t) = -t: the pair ratio (j°(s;t-s)+j°(t;s-t))/|t-s|^2 is
         # identically 1, so the estimate is exactly 1
         sp = build(PiecewiseDensity((), ([0.0, -1.0],)))
-        assert relaxed_monotonicity_constant(sp, 2.0) == pytest.approx(1.0)
+        assert relaxed_monotonicity_constant(sp, -2.0,
+                                             2.0) == pytest.approx(1.0)
 
     def test_down_jump_blows_up(self):
         # a downward jump makes the true constant infinite
-        est = relaxed_monotonicity_constant(down_jump_density(), 2.0)
+        est = relaxed_monotonicity_constant(down_jump_density(), -2.0, 2.0)
         assert est > 1e4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            relaxed_monotonicity_constant(abs_density(), -1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            relaxed_monotonicity_constant(abs_density(), 1.0, -1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            relaxed_monotonicity_constant(abs_density(), 0.0, math.nan)
 
     def test_closed_forms(self):
         minus_t = build(PiecewiseDensity((), ([0.0, -1.0],)))
-        assert relaxed_monotonicity_constant(minus_t, 2.0) == 1.0
-        assert relaxed_monotonicity_constant(abs_density(), 2.0) == 0.0
-        assert relaxed_monotonicity_constant(quad_density(1.0), 2.0) == 0.0
+        assert relaxed_monotonicity_constant(minus_t, -2.0, 2.0) == 1.0
+        assert relaxed_monotonicity_constant(abs_density(), -2.0, 2.0) == 0.0
+        assert relaxed_monotonicity_constant(quad_density(1.0), -2.0,
+                                             2.0) == 0.0
         jump = down_jump_density(b=0.5, slope=0.1)
-        assert relaxed_monotonicity_constant(jump, 2.0) == math.inf
-        assert relaxed_monotonicity_constant(jump, 0.5) == math.inf
-        assert relaxed_monotonicity_constant(jump, 0.4) == 0.0
+        assert relaxed_monotonicity_constant(jump, -2.0, 2.0) == math.inf
+        assert relaxed_monotonicity_constant(jump, -0.5, 0.5) == math.inf
+        assert relaxed_monotonicity_constant(jump, 0.5, 2.0) == math.inf
+        assert relaxed_monotonicity_constant(jump, -0.4, 0.4) == 0.0
+        assert relaxed_monotonicity_constant(jump, 0.6, 2.0) == 0.0
+        # one point: s = t, whatever jumps there
+        assert relaxed_monotonicity_constant(jump, 0.5, 0.5) == 0.0
         # beta = t^2 - t, down by 0.25 past 0.5: beta' = 2t - 1 is least
-        # at -r
+        # at the left end
         sp = build(PiecewiseDensity((0.5,), ([0.0, -1.0, 1.0],
                                              [-0.25, -1.0, 1.0])))
-        assert relaxed_monotonicity_constant(sp, 0.4) == pytest.approx(1.8)
-        assert relaxed_monotonicity_constant(sp, 1.0) == math.inf
+        assert relaxed_monotonicity_constant(sp, -0.4,
+                                             0.4) == pytest.approx(1.8)
+        assert relaxed_monotonicity_constant(sp, 0.1, 0.4) == pytest.approx(
+            0.8)
+        assert relaxed_monotonicity_constant(sp, -1.0, 1.0) == math.inf
 
-    @np.errstate(invalid="ignore")   # the r = inf candidate grid
-    def test_unchecked_range_is_nan(self):
-        # at r = inf the candidate grid holds NaN, so no minimum of beta'
-        # is known: NaN, not the 0.0 that max(0.0, nan) gives
+    def test_infinite_ends_use_the_tail_rule(self):
+        # beta' falls to -inf towards an infinite end exactly when its
+        # leading term does; otherwise its least value lies at a finite
+        # candidate
         minus_t = build(PiecewiseDensity((), ([0.0, -1.0],)))
-        abs_t = build(PiecewiseDensity((0.0,), ([0.0, -1.0], [0.0, 1.0])))
         t = build(PiecewiseDensity((), ([0.0, 1.0],)))
-        for sp in minus_t, abs_t, t:
-            assert math.isnan(relaxed_monotonicity_constant(sp, math.inf))
-        assert relaxed_monotonicity_constant(minus_t, 2.0) == 1.0
-        assert relaxed_monotonicity_constant(minus_t, 1e300) == 1.0
+        t2 = build(PiecewiseDensity((), ([0.0, 0.0, 1.0],)))   # beta' = 2t
+        t3 = build(PiecewiseDensity((), ([0.0, 0.0, 0.0, 1.0],)))
+        minus_t3 = build(PiecewiseDensity((), ([0.0, 0.0, 0.0, -1.0],)))
+        inf = math.inf
+        for sp, a, b, m in [
+                (minus_t, -inf, inf, 1.0), (abs_density(), -inf, inf, 0.0),
+                (t, -inf, inf, 0.0), (t2, 0.0, inf, 0.0), (t2, -1.0, inf, 2.0),
+                (t2, -inf, 0.0, inf), (t3, -inf, inf, 0.0),
+                (minus_t3, 0.0, inf, inf), (minus_t3, -inf, 0.0, inf),
+                (down_jump_density(b=0.5), 0.5, inf, inf),
+                (down_jump_density(b=0.5, slope=-0.2), 0.6, inf, 0.2)]:
+            assert relaxed_monotonicity_constant(sp, a, b) == m, (sp, a, b)
+        # the first piece decides the left tail, the last the right one
+        sp = build(PiecewiseDensity((0.0,), ([0.0, 0.0, 1.0],
+                                             [0.0, 0.0, -1.0])))
+        assert relaxed_monotonicity_constant(sp, 0.0, inf) == inf
+        assert relaxed_monotonicity_constant(sp, -inf, 0.0) == inf
+        assert relaxed_monotonicity_constant(sp, -1.0, 1.0) == 2.0
+        sp = build(PiecewiseDensity((0.0,), ([0.0, 0.0, -1.0],
+                                             [0.0, 0.0, 1.0])))
+        assert relaxed_monotonicity_constant(sp, -inf, inf) == 0.0
+        assert relaxed_monotonicity_constant(sp, -inf, 1e300) == 0.0
 
     @settings(deadline=None, max_examples=200)
     @given(lattice_cases())
@@ -318,9 +305,87 @@ class TestRelaxedMonotonicity:
               1.0))
     def test_at_least_lattice_estimate(self, case):
         sp, r = case
-        exact = relaxed_monotonicity_constant(sp, r)
+        exact = relaxed_monotonicity_constant(sp, -r, r)
         est, err = _lattice_estimate(sp, r)
         assert exact >= est * (1.0 - 1e-6) - err
+        # a larger range only adds pairs (NaN: beta' overflows at a far
+        # candidate)
+        whole = relaxed_monotonicity_constant(sp, -math.inf, math.inf)
+        assert not whole < exact
+
+
+@st.composite
+def box_cases(draw):
+    """Densities of degree 0 to 3 with 0 to 3 breakpoints in [-2, 2] (jumps
+    of either sign), and three nodes' ``k`` in [0, 3] and ``f`` in [-3, 3].
+    Coefficients and ``k`` are 0 or of magnitude 1e-3 to 3: a scan evaluates
+    each sum in floats, which drops a term 1e200 times smaller than the
+    rest."""
+    bp = sorted(set(draw(st.lists(st.floats(-2, 2), max_size=3))))
+    coefficient = st.one_of(st.just(0.0), st.floats(1e-3, 3.0),
+                            st.floats(-3.0, -1e-3))
+    pieces = [draw(st.lists(coefficient, min_size=1, max_size=4))
+              for _ in range(len(bp) + 1)]
+    k = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+                               min_size=3, max_size=3)))
+    f = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
+                               max_size=3)))
+    return PiecewiseDensity(tuple(bp), tuple(pieces)), k, f
+
+
+class TestSolutionBox:
+    @settings(deadline=None, max_examples=200)
+    @given(box_cases())
+    def test_ends_against_a_dense_scan(self, case):
+        # U = sup{t : k t + lo(t) <= f}: no scanned point of that set lies
+        # above U, a finite U is in it, and an infinite U has the set
+        # unbounded; the same for L with hi, from the other side
+        density, k, f = case
+        lower, upper = solution_box(density, k, f)
+        t = np.unique(np.concatenate((np.linspace(-50.0, 50.0, 20001),
+                                      density.breakpoints)))
+        lo, hi = density.interval(t)
+        for v in range(3):
+            for end, val, sign in ((upper[v], lo, 1.0), (lower[v], hi, -1.0)):
+                inside = sign * (k[v] * t + val - f[v]) <= 0
+                assert np.all(sign * t[inside] <= sign * end + 1e-6)
+                if sign * end == math.inf:
+                    # k t + beta(t) - f on the outer piece does not end on
+                    # the set's far side: its leading term decides
+                    h = P.polyadd(density.pieces[-1 if sign > 0 else 0],
+                                  [-f[v], k[v]])
+                    assert sign * h[-1] * sign ** (len(h) - 1) <= 0
+                elif math.isfinite(end):
+                    at = density.interval(end)[0 if sign > 0 else 1]
+                    scale = 1.0 + abs(k[v] * end) + abs(f[v]) + max(
+                        P.polyval(abs(end), np.abs(c))
+                        for c in density.pieces)   # the terms' size
+                    assert sign * (k[v] * end + at - f[v]) <= 1e-9 * scale
+
+    def test_lines_in_closed_form_match_the_roots(self):
+        # a linear density with a zero t^2 coefficient takes the companion
+        # path, which drops that coefficient and divides as the closed form
+        rng = np.random.default_rng(5)
+        k, f = rng.uniform(0.0, 3.0, 50), rng.uniform(-3.0, 3.0, 50)
+        for _ in range(20):
+            bp = np.sort(rng.uniform(-1.0, 1.0, 2))
+            pieces = rng.uniform(-1.0, 1.0, (3, 2))
+            line = PiecewiseDensity(bp, tuple(pieces))
+            padded = PiecewiseDensity(bp, tuple(np.column_stack(
+                (pieces, np.zeros(3)))))
+            for got, ref in zip(solution_box(line, k, f),
+                                solution_box(padded, k, f)):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_overflowing_root_widens_the_box(self):
+        # k = 1e-300 and f = 1e300: the root near 1e600 overflows, so the
+        # box is [largest float, inf], not empty
+        d = abs_density().density
+        lower, upper = solution_box(d, np.array([1e-300]), np.array([1e300]))
+        assert (lower[0], upper[0]) == (np.finfo(float).max, math.inf)
+        lower, upper = solution_box(d, np.array([1e-300]),
+                                    np.array([-1e300]))
+        assert (lower[0], upper[0]) == (-math.inf, -np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -359,73 +424,40 @@ def _ref_real_roots(coef, a, b):
     return roots[(roots > a) & (roots < b)]
 
 
-def _ref_pieces_within(density, r):
+def _ref_extremum_candidates(density, a, b):
     bp = density.breakpoints
-    bounds = np.concatenate(([-r], np.clip(bp, -r, r), [r]))
-    for c, a, b in zip(density.pieces, bounds[:-1], bounds[1:]):
-        if a < b:
-            yield c, a, b
-
-
-def _ref_extremum_candidates(density, r):
-    bp = density.breakpoints
-    cand = [np.linspace(-r, r, 129), bp[(bp >= -r) & (bp <= r)]]
-    for c, a, b in _ref_pieces_within(density, r):
-        cand.append(_ref_real_roots(P.polyder(c), a, b))
+    ends = [x for x in (a, b, min(max(0.0, a), b)) if math.isfinite(x)]
+    cand = [np.asarray(ends), bp[(bp >= a) & (bp <= b)]]
+    bounds = np.concatenate(([a], np.clip(bp, a, b), [b]))
+    for c, lo, hi in zip(density.pieces, bounds[:-1], bounds[1:]):
+        if lo < hi:
+            cand.append(_ref_real_roots(P.polyder(c), lo, hi))
     return np.unique(np.concatenate(cand))
 
 
-def _ref_derivative_one_sided(density, r):
+def _ref_derivative_one_sided(density, a, b):
     deriv = PiecewiseDensity(density.breakpoints,
                              tuple(P.polyder(c) for c in density.pieces))
-    return deriv.one_sided(_ref_extremum_candidates(deriv, r))
+    return deriv.one_sided(_ref_extremum_candidates(deriv, a, b))
 
 
-def _ref_growth_ratio_max(sp, r):
-    cand = [_ref_extremum_candidates(sp.density, r), np.asarray([0.0])]
-    for c, a, b in _ref_pieces_within(sp.density, r):
-        dc = P.polyder(c)
-        if b > 0:
-            q = P.polysub(P.polymul(np.array([1.0, 1.0]), dc), c)
-            cand.append(_ref_real_roots(q, max(a, 0.0), b))
-        if a < 0:
-            q = P.polyadd(P.polymul(np.array([1.0, -1.0]), dc), c)
-            cand.append(_ref_real_roots(q, a, min(b, 0.0)))
-    pts = np.unique(np.concatenate(cand))
-    lo, hi = sp.interval(pts)
-    ratio = np.maximum(np.abs(lo), np.abs(hi)) / (1.0 + np.abs(pts))
-    return float(np.max(ratio, initial=0.0))
-
-
-def _ref_growth_certificate(sp, r):
-    """``(alpha_j, global_bound)``."""
-    density = sp.density
-
-    def eff_degree(c):
-        c = np.trim_zeros(np.atleast_1d(c), "b")
-        return max(len(c) - 1, 0)
-
-    if not (eff_degree(density.pieces[0]) <= 1
-            and eff_degree(density.pieces[-1]) <= 1):
-        return _ref_growth_ratio_max(sp, r), False
-    big = max(r, float(np.max(np.abs(density.breakpoints), initial=0.0)), 1.0)
-    alpha = _ref_growth_ratio_max(sp, big)
-    for c in (density.pieces[0], density.pieces[-1]):
-        if len(c) > 1:
-            alpha = max(alpha, abs(float(c[1])))
-    return alpha, True
-
-
-def _ref_relaxed_monotonicity_constant(sp, r):
-    if any(-r <= b <= r and lo > hi for b, lo, hi in sp.density.jumps()):
+def _ref_relaxed_monotonicity_constant(sp, a, b):
+    if a == b:
+        return 0.0
+    if any(a <= x <= b and lo > hi for x, lo, hi in sp.density.jumps()):
         return math.inf
-    left, right = _ref_derivative_one_sided(sp.density, r)
+    for end, c in ((a, sp.density.pieces[0]), (b, sp.density.pieces[-1])):
+        d = np.trim_zeros(P.polyder(c), "b")
+        if (math.isinf(end) and len(d) > 1
+                and d[-1] * np.sign(end) ** (len(d) - 1) < 0):
+            return math.inf
+    left, right = _ref_derivative_one_sided(sp.density, a, b)
     m = -float(np.min(np.minimum(left, right)))
     return m if math.isnan(m) else max(0.0, m)
 
 
 def _ref_derivative_bound(sp, r):
-    left, right = _ref_derivative_one_sided(sp.density, r)
+    left, right = _ref_derivative_one_sided(sp.density, -r, r)
     return float(np.max(np.maximum(np.abs(left), np.abs(right)), initial=0.0))
 
 
@@ -480,14 +512,8 @@ class TestCoefficientArithmetic:
     @example(np.array([0.0, 0.0]))
     @np.errstate(over="ignore", invalid="ignore")  # 1e300 squared, inf - inf
     def test_helpers_match_numpy_polynomial(self, c):
-        assert _identical(_trim(c), pu.trimseq(c))
         assert _identical(_der(c), P.polyder(c))
         assert _identical(_antider(c), P.polyint(c))
-        dc = P.polyder(c)
-        assert _identical(_ratio_numerator(c, 1.0),
-                          P.polysub(P.polymul(np.array([1.0, 1.0]), dc), c))
-        assert _identical(_ratio_numerator(c, -1.0),
-                          P.polyadd(P.polymul(np.array([1.0, -1.0]), dc), c))
         if len(c) == 2 and c[1] != 0:   # a linear root, without the companion
             assert _identical(_real_roots(c, -math.inf, math.inf),
                               _ref_real_roots(c, -math.inf, math.inf))
@@ -505,12 +531,9 @@ class TestCoefficientArithmetic:
         for got, ref in zip(sp.antiderivative, _ref_antiderivatives(density),
                             strict=True):
             assert _identical(got, ref)
-        gc = growth_certificate(sp, r)
-        alpha, global_bound = _ref_growth_certificate(sp, r)
-        assert _same_float(gc.alpha_j, alpha)
-        assert gc.global_bound is global_bound
-        assert _same_float(relaxed_monotonicity_constant(sp, r),
-                           _ref_relaxed_monotonicity_constant(sp, r))
+        for a, b in (-r, r), (-r / 2, math.inf):
+            assert _same_float(relaxed_monotonicity_constant(sp, a, b),
+                               _ref_relaxed_monotonicity_constant(sp, a, b))
         assert _same_float(sp.derivative_bound(r),
                            _ref_derivative_bound(sp, r))
 
