@@ -22,10 +22,6 @@ from .graphs import (NodeTable, _read_json, degrees, load_graph,
                      node_function, volume)
 
 
-class InputError(ValueError):
-    """Bad command-line input or malformed input file."""
-
-
 _PROBLEM_KEYS = {"graph", "superpotential", "f", "parabolic", "solver"}
 _PARABOLIC_KEYS = {"T", "steps", "phi0", "f_table", "sp_schedule"}
 _SOLVER_KEYS = {"tol", "max_inner"}
@@ -36,11 +32,11 @@ def _checked(what: str, fn, *args):
     try:
         return fn(*args)
     except OSError as exc:
-        raise InputError(f"{what}: cannot read ({exc.strerror})") from exc
+        raise ValueError(f"{what}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{what}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{what}: invalid JSON ({exc})") from exc
     except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _load_superpotential(doc, path: str):
@@ -60,32 +56,32 @@ def load_problem(path: str, tol: float | None = None):
     doc = _checked(path, _read_json, path)
     base = os.path.dirname(os.path.abspath(path))
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: problem document must be an object")
+        raise ValueError(f"{path}: problem document must be an object")
     extra = set(doc) - _PROBLEM_KEYS
     if extra:
-        raise InputError(f"{path}: unknown keys {sorted(extra)}")
+        raise ValueError(f"{path}: unknown keys {sorted(extra)}")
     for key in ("graph", "superpotential", "f"):
         if key not in doc:
-            raise InputError(f"{path}: missing required key {key!r}")
+            raise ValueError(f"{path}: missing required key {key!r}")
     if not isinstance(doc["graph"], str):
-        raise InputError(f"{path}: 'graph' must be a file name")
+        raise ValueError(f"{path}: 'graph' must be a file name")
     g = _checked(doc["graph"], load_graph, os.path.join(base, doc["graph"]))
     sp = _load_superpotential(doc["superpotential"], path)
     f = _checked(f"{path}: load f", node_function, g, doc["f"])
 
     solver = doc.get("solver", {})
     if not isinstance(solver, dict) or set(solver) - _SOLVER_KEYS:
-        raise InputError(f"{path}: malformed 'solver' section")
+        raise ValueError(f"{path}: malformed 'solver' section")
     opts = _checked(f"{path}: solver options",
                     lambda: solvers.SolverOptions(**solver))
 
     parabolic = doc.get("parabolic")
     if parabolic is not None:
         if not isinstance(parabolic, dict) or set(parabolic) - _PARABOLIC_KEYS:
-            raise InputError(f"{path}: malformed 'parabolic' section")
+            raise ValueError(f"{path}: malformed 'parabolic' section")
         for key in ("T", "steps", "phi0"):
             if key not in parabolic:
-                raise InputError(f"{path}: parabolic section missing {key!r}")
+                raise ValueError(f"{path}: parabolic section missing {key!r}")
     if tol is not None:
         opts = dataclasses.replace(opts, tol=tol)
     return g, sp, f, parabolic, opts
@@ -102,8 +98,7 @@ def _emit(doc: dict, args, title: str) -> None:
     try:
         reports.write_atomic(args.out, *parts)
     except OSError as exc:   # its own message may name the temp file
-        raise InputError(
-            f"{args.out}: cannot write ({exc.strerror})") from exc
+        raise ValueError(f"{args.out}: cannot write ({exc.strerror})") from exc
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -148,13 +143,13 @@ def cmd_solve_elliptic(args) -> tuple[dict, int]:
 def cmd_solve_parabolic(args) -> tuple[dict, int]:
     g, sp, f, parabolic, opts = load_problem(args.problem, args.tol)
     if parabolic is None:
-        raise InputError(f"{args.problem}: missing 'parabolic' section")
+        raise ValueError(f"{args.problem}: missing 'parabolic' section")
     path = args.problem
     phi0 = _checked(f"{path}: phi0", node_function, g, parabolic["phi0"])
     if "f_table" in parabolic:
         table = parabolic["f_table"]
         if not isinstance(table, list):
-            raise InputError(f"{path}: f_table must be a list of loads")
+            raise ValueError(f"{path}: f_table must be a list of loads")
         f = np.array([_checked(f"{path}: f_table[{k}]", node_function, g, row)
                       for k, row in enumerate(table)])
     if "sp_schedule" in parabolic:
@@ -188,7 +183,7 @@ def cmd_exhaust(args) -> tuple[dict, int]:
     gen, f_law = _checked(args.generator,
                           exhaustion.generator_from_document, doc)
     if "superpotential" not in doc:
-        raise InputError(f"{args.generator}: missing 'superpotential'")
+        raise ValueError(f"{args.generator}: missing 'superpotential'")
     sp = _load_superpotential(doc["superpotential"], args.generator)
     radii = _checked(f"bad --radii list {args.radii!r}",
                      lambda: [float(r) for r in args.radii.split(",")])
@@ -255,7 +250,7 @@ def main(argv=None) -> int:
     try:
         doc, code = handler(args)
         _emit({"schema_version": reports.SCHEMA_VERSION, **doc}, args, title)
-    except (ValueError, OSError) as exc:  # InputError, GraphFormatError too
+    except (ValueError, OSError) as exc:  # GraphFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

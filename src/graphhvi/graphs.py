@@ -108,10 +108,10 @@ def _weight(name: str, x: np.ndarray) -> tuple:
     return f"non-positive or non-finite {name}", ~(np.isfinite(x) & (x > 0))
 
 
-def _columns(recs, k: int) -> tuple:
+def _columns(recs, k: int, kind: str) -> tuple:
     recs = list(recs)
     if set(map(len, recs)) - {k}:
-        raise GraphFormatError(f"every record must have {k} fields")
+        raise GraphFormatError(f"every {kind} record must have {k} fields")
     return list(zip(*recs)) or [()] * k, recs.__getitem__
 
 
@@ -132,12 +132,13 @@ def from_data(nodes, adjacencies) -> WeightedGraph:
     list, duplicate ids, self-loops, non-positive or non-finite weights or
     unknown node references, naming the first offending record.
     """
-    return _from_columns(_columns(nodes, 3), lambda: _columns(adjacencies, 4))
+    return _from_columns(_columns(nodes, 3, "node"),
+                         _columns(adjacencies, 4, "adjacency"))
 
 
-def _from_columns(nodes: tuple, adjacencies) -> WeightedGraph:
+def _from_columns(nodes: tuple, adjacencies: tuple) -> WeightedGraph:
     """:func:`from_data` on ``(columns, record)`` pairs (``record(i)``: record
-    ``i`` for an error), ``adjacencies()`` called once the nodes pass."""
+    ``i`` for an error)."""
     (ids, mu, kappa), node_rec = nodes
     ids, mu, kappa = list(map(str, ids)), _floats(mu), _floats(kappa)
     n = len(ids)
@@ -151,7 +152,7 @@ def _from_columns(nodes: tuple, adjacencies) -> WeightedGraph:
     if not n:
         raise GraphFormatError("graph has no nodes")
 
-    (a, b, rho, gamma), adj_rec = adjacencies()
+    (a, b, rho, gamma), adj_rec = adjacencies
     m = len(a)
     ia, ib = (np.fromiter(map(index.get, c, repeat(-1)), np.intp, m)
               for c in (a, b))
@@ -211,7 +212,7 @@ def load_graph(document) -> WeightedGraph:
     nodes = _record_columns(document["nodes"], ("id", "mu", "kappa"), "node")
     adjacencies = _record_columns(document.get("adjacencies", []),
                                   ("a", "b", "rho", "gamma"), "adjacency")
-    return _from_columns(nodes, lambda: adjacencies)
+    return _from_columns(nodes, adjacencies)
 
 
 def _check_nodes(g: WeightedGraph, phi) -> np.ndarray:

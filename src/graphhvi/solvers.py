@@ -27,7 +27,7 @@ from .calculus import inner_product_nodes, lp_norm_nodes
 # sobolev_norms is not used here: the elliptic report calls it as
 # solvers.sobolev_norms, the name the benchmark's calculus.norms span wraps
 from .calculus import sobolev_norms  # noqa: F401
-from .graphs import WeightedGraph, _check_nodes, _finite
+from .graphs import WeightedGraph, _check_nodes, _finite, node_function
 from .operators import (EXACT_TOL, AssembledOperator, OperatorConstants,
                         _pcg, apply, assemble, bilinear_form, constants)
 # mollify is not used here; it stays importable as graphhvi.solvers.mollify
@@ -43,7 +43,7 @@ class EllipticProblem:
     f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _check_nodes(self.graph, self.f))
+        object.__setattr__(self, "f", node_function(self.graph, self.f))
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,10 @@ class ParabolicProblem:
         if not (_finite(self.T) and self.T > 0 and self.steps > 0):
             raise ValueError("need finite T > 0 and steps > 0")
         object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "phi0", _check_nodes(self.graph, self.phi0))
+        object.__setattr__(self, "phi0", node_function(self.graph, self.phi0))
         f = np.asarray(self.f, dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("f table values must be finite numbers")
         n = self.graph.num_nodes
         if (self.steps + 1) * n * 8 > np.iinfo(np.intp).max:  # float bytes
             raise ValueError("steps is too large: the trajectory exceeds "
@@ -381,7 +383,7 @@ def solve_elliptic(problem: EllipticProblem,
     opts = options or SolverOptions()
     g = problem.graph
     phi = (np.zeros(g.num_nodes) if opts.initial is None
-           else _check_nodes(g, opts.initial).copy())
+           else node_function(g, opts.initial).copy())
     return _solve(assemble(g), problem.sp, problem.f, phi, opts)
 
 

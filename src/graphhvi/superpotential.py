@@ -148,11 +148,6 @@ class PiecewiseDensity:
         return [(b, lo, hi) for b, lo, hi
                 in zip(self.breakpoints.tolist(), left, right) if lo != hi]
 
-    def min_breakpoint_gap(self) -> float:
-        if len(self.breakpoints) < 2:
-            return math.inf
-        return float(np.min(np.diff(self.breakpoints)))
-
 
 @dataclass(frozen=True)
 class Superpotential:
@@ -208,19 +203,25 @@ def build(density: PiecewiseDensity) -> Superpotential:
     return Superpotential(density=density, antiderivative=tuple(prim))
 
 
+def _roots(coef: np.ndarray) -> np.ndarray:
+    """Companion roots, and inf for each leading coefficient it overflows on."""
+    n = len(coef)
+    while len(coef) > 1 and not np.all(np.isfinite(coef[:-1] / coef[-1])):
+        coef = coef[:-1]
+    from numpy.polynomial import polynomial as P   # lazy, as in assemble
+    return np.r_[P.polyroots(coef), np.full(n - len(coef), np.inf)]
+
+
+@np.errstate(all="ignore")   # the overflow test, and 1 / 0
 def _real_roots(coef: np.ndarray, a: float, b: float) -> np.ndarray:
-    if len(coef) == 1:  # a constant: no root, and nothing to divide
-        return coef[:0]
-    # drop leading coefficients that are 0 or so tiny the companion overflows
-    with np.errstate(all="ignore"):
-        while len(coef) > 1 and not np.all(np.isfinite(coef[:-1] / coef[-1])):
-            coef = coef[:-1]
-    if len(coef) > 2:
-        from numpy.polynomial import polynomial as P   # lazy, as in assemble
-        roots = P.polyroots(coef)
-        roots = roots[np.abs(roots.imag) < 1e-10].real
-    else:  # none for a constant, -c0 / c1 for a line
-        roots = np.array([-coef[0] / coef[1]] if len(coef) == 2 else [])
+    """Real roots in (a, b).  The companion rounds relative to the largest
+    root, so from degree 2 up, roots below 1e-8 of it (and up to 1e-7, so
+    that none is lost) are inverses of the reversed polynomial's."""
+    roots = _roots(coef)
+    cut = 1e-8 * np.abs(roots[np.isfinite(roots)]).max(initial=0.0)
+    small = 1 / _roots(coef[::-1]) if len(coef) > 2 else roots[:0]
+    roots = np.r_[roots[np.abs(roots) >= cut], small[np.abs(small) < 10 * cut]]
+    roots = roots[np.abs(roots.imag) < 1e-10].real
     return roots[(roots > a) & (roots < b)]
 
 
@@ -235,7 +236,7 @@ def _derivative_limits(density: PiecewiseDensity, a: float,
     cand = [ends[np.isfinite(ends)], bp[(bp >= a) & (bp <= b)]]
     bounds = np.clip(np.concatenate(([-np.inf], bp, [np.inf])), a, b)
     for c, lo, hi in zip(table.T, bounds[:-1], bounds[1:]):
-        if lo < hi:
+        if lo < hi and len(c) > 2:   # a constant beta'' has no root
             cand.append(_real_roots(_der(c), lo, hi))
     return density._limits(np.unique(np.concatenate(cand)), table)
 
@@ -332,10 +333,10 @@ def mollify(sp: Superpotential, h: float) -> Superpotential:
     if h <= 0:
         raise ValueError("ramp width must be positive")
     density = sp.density
-    gap = density.min_breakpoint_gap()
+    bp = density.breakpoints
+    gap = np.diff(bp).min(initial=math.inf)
     if 2.0 * h >= gap:
         raise ValueError(f"ramp width {h} too large for breakpoint gap {gap}")
-    bp = density.breakpoints
     lefts, rights = density._limits(bp).tolist()
     if lefts == rights:  # no jumps
         return sp

@@ -78,6 +78,17 @@ class TestFromData:
             gh.from_data([("a", 1, 1), ("b", 1, 1)],
                          [("a", "b", 1, 1), ("b", "a", 2, 2)])
 
+    def test_record_width_names_its_list(self):
+        with pytest.raises(GraphFormatError,
+                           match="^every node record must have 3 fields$"):
+            gh.from_data([("a", 1)], [])
+        with pytest.raises(GraphFormatError,
+                           match="^every adjacency record must have 4 fields$"):
+            gh.from_data([("a", 1, 1), ("b", 1, 1)], [("a", "b", 1)])
+        # the adjacency width comes before a bad node, as in load_graph
+        with pytest.raises(GraphFormatError, match="every adjacency record"):
+            gh.from_data([("a", 0, 1), ("a", 1, 1)], [("a", "b", 1, 1, 1)])
+
     def test_arrays_read_only(self):
         g = triangle()
         with pytest.raises(ValueError):

@@ -952,3 +952,24 @@ class TestOptions:
         for max_inner in (5, np.int64(5), np.int32(5), np.uint8(5)):
             opts = SolverOptions(max_inner=max_inner)
             assert opts.max_inner == 5 and type(opts.max_inner) is int
+
+
+class TestNonFiniteData:
+    def test_problems_refuse_non_finite_nodes(self):
+        # a NaN load was certified unique with the box [0, 0] and then
+        # solved to "non-finite"; a NaN phi0 or f table row was stepped
+        g = gh.from_data([("a", 1.0, 1.0), ("b", 1.0, 1.0)],
+                         [("a", "b", 1.0, 1.0)])
+        sp, zero = abs_density(), np.zeros(2)
+        for bad in (math.nan, math.inf, -math.inf):
+            vec = np.array([bad, 0.0])
+            with pytest.raises(ValueError, match="finite"):
+                certify(EllipticProblem(g, sp, vec))
+            with pytest.raises(ValueError, match="finite"):
+                solve_elliptic(EllipticProblem(g, sp, zero),
+                               SolverOptions(initial=vec))
+            for f, phi0 in ((vec, zero), (zero, vec),
+                            (np.array([zero, vec]), zero)):
+                with pytest.raises(ValueError, match="finite"):
+                    ParabolicProblem(graph=g, sp=sp, f=f, phi0=phi0, T=1.0,
+                                     steps=2)

@@ -44,12 +44,6 @@ class TestPiecewiseDensity:
         assert right[0] == pytest.approx(0.05)
         assert d.jumps() == [(0.5, pytest.approx(0.35), pytest.approx(0.05))]
 
-    def test_min_breakpoint_gap(self):
-        d = PiecewiseDensity((0.0, 0.25, 1.0),
-                             ([0.0], [1.0], [2.0], [3.0]))
-        assert d.min_breakpoint_gap() == pytest.approx(0.25)
-        assert abs_density().density.min_breakpoint_gap() == math.inf
-
 
 def _identical(a, b):
     return (isinstance(a, np.ndarray) and a.shape == b.shape
@@ -376,6 +370,24 @@ class TestSolutionBox:
             for got, ref in zip(solution_box(line, k, f),
                                 solution_box(padded, k, f)):
                 assert got.tobytes() == ref.tobytes()
+
+    def test_small_root_beside_a_huge_one(self):
+        # the companion of 1 + t + c t^2 rounds the root -1 to 0 beside
+        # -5.2e214, and the box of -1.5 + 2 t + c t^2 then ended at 0, below
+        # its one solution 0.75
+        c, rt = 1.94e-215, math.sqrt(1.0 - 4.0 * 1.94e-215)
+        roots = _real_roots(np.array([1.0, 1.0, c]), -math.inf, math.inf)
+        np.testing.assert_allclose(np.sort(roots), [-(1.0 + rt) / (2.0 * c),
+                                                    -2.0 / (1.0 + rt)],
+                                   rtol=1e-12)
+        d = PiecewiseDensity((), ([-1.5, 1.0, c],))
+        lower, upper = solution_box(d, np.array([1.0]), np.array([0.0]))
+        assert lower[0] == -math.inf
+        assert upper[0] == pytest.approx(3.0 / (2.0 + math.sqrt(4.0 + 6.0 * c)),
+                                         rel=1e-12)
+        # a root at 0 comes from the reversed polynomial, once
+        found = _real_roots(np.array([0.0, -1.0, 1.0]), -1.0, 2.0)
+        assert sorted(found) == [0.0, 1.0]
 
     def test_overflowing_root_widens_the_box(self):
         # k = 1e-300 and f = 1e300: the root near 1e600 overflows, so the
